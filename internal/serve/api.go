@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"encore/internal/core"
@@ -170,7 +171,10 @@ func tenantOf(r *http.Request) string {
 type campaignSpec struct {
 	app    string
 	source string // SnapshotCache key
-	build  func() (*ir.Module, []*ir.Global, error)
+	// outputs names an inline module's output globals (NUL-joined): the
+	// golden checksum covers them, so they are part of the warm key.
+	outputs string
+	build   func() (*ir.Module, []*ir.Global, error)
 
 	trials      int
 	seed        uint64
@@ -273,6 +277,7 @@ func (r *SubmitRequest) normalize(cfg Config) (campaignSpec, error) {
 		}
 		sp.source = "module:" + hex.EncodeToString(sum[:])
 		src, outs := r.Module, r.Outputs
+		sp.outputs = strings.Join(outs, "\x00")
 		sp.build = func() (*ir.Module, []*ir.Global, error) {
 			mod, err := ir.Parse(src)
 			if err != nil {

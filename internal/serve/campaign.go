@@ -85,8 +85,13 @@ func (c *campaign) Write(p []byte) (int, error) {
 }
 
 // finishRun settles the campaign's terminal state from its runner's
-// result and closes the ledger stream.
+// result and closes the ledger stream. The per-trial records are dropped:
+// the chunk buffer already holds them as ledger bytes, and /result reads
+// only the counts and the header.
 func (c *campaign) finishRun(res *sfi.CampaignResult, err error) {
+	if res != nil {
+		res.Records = nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.result = res

@@ -2,15 +2,19 @@
 // service that accepts concurrent fault-injection campaign requests
 // (workload or inline IR module, plus the γ/η/Pmin/Dmax/engine/seed
 // knobs), compiles them through the core.Analyze/Finalize split behind a
-// keyed core.SnapshotCache, schedules trials as sharded batches on the
-// shared internal/workpool, and streams each campaign's sfi.TrialRecord
-// JSONL ledger back incrementally over a chunked response.
+// keyed core.SnapshotCache, keeps each compiled module's golden
+// sfi.Target in a bounded warm cache (so a repeated submit skips compile,
+// golden run and ladder capture), schedules trials as sharded batches on
+// the shared internal/workpool, and streams each campaign's
+// sfi.TrialRecord JSONL ledger back incrementally over a chunked
+// response.
 //
 // Determinism invariant: a served ledger is byte-identical to batch
 // `encore-sfi -trace` output for the same (workload, config, seed)
-// at any worker count or shard size — the daemon reuses
-// sfi.RunCampaign's incremental trial-order emission rather than
-// re-implementing campaign execution, so equality holds by construction
+// at any worker count or shard size, hot or cold warm cache — the daemon
+// runs campaigns through sfi.Target, the code path sfi.RunCampaign is
+// built from, rather than re-implementing campaign execution, so
+// equality holds by construction
 // and is locked by the package tests and scripts/check.sh's cmp smoke.
 //
 // Multi-tenancy and backpressure: every request carries a tenant (the
@@ -71,9 +75,11 @@ type Config struct {
 	// explicit 0 to disable forking). Ledgers are
 	// checkpoint-count-invariant; this only moves throughput.
 	Checkpoints int
-	// Obs selects the metrics registry for the serve/campaign spans, the
-	// serve.campaigns.* admission counters, and the serve.inflight.*
-	// gauges. Nil selects obs.Default().
+	// Obs selects the metrics registry for the serve/campaign spans (with
+	// the compile and golden-target work of cold submits beneath them),
+	// the serve.campaigns.* admission counters, the serve.inflight.*
+	// gauges, and the serve.warm.* cache metrics. Nil selects
+	// obs.Default().
 	Obs *obs.Registry
 	// StatsEvery is the default stats-stream snapshot cadence (one
 	// snapshot per StatsEvery settled trials); zero selects
@@ -115,6 +121,7 @@ type Server struct {
 	cfg   Config
 	reg   *obs.Registry
 	cache *core.SnapshotCache
+	warm  *warmCache
 	adm   *admission
 	mux   *http.ServeMux
 	log   *logger
@@ -146,6 +153,7 @@ func NewServer(cfg Config) *Server {
 		cfg:       cfg,
 		reg:       reg,
 		cache:     core.NewSnapshotCache(),
+		warm:      newWarmCache(reg),
 		adm:       newAdmission(cfg.MaxInFlightTrials, cfg.TenantMaxInFlightTrials, reg.Gauge("serve.inflight.trials")),
 		log:       newLogger(cfg.Log),
 		campaigns: map[string]*campaign{},
@@ -335,9 +343,10 @@ func (s *Server) run(c *campaign) {
 	s.finish(c)
 }
 
-// execute compiles the campaign's source (through the shared snapshot
-// cache) and runs its trials, streaming the ledger into the campaign's
-// chunk buffer as the completed prefix grows.
+// execute fetches the campaign's warm target — compiling the source
+// (through the shared snapshot cache) and running the golden run and
+// ladder capture only on a cold key — and runs its trials, streaming the
+// ledger into the campaign's chunk buffer as the completed prefix grows.
 func (s *Server) execute(c *campaign) (*sfi.CampaignResult, error) {
 	sp := s.reg.Span("serve/campaign")
 	defer sp.End()
@@ -349,45 +358,62 @@ func (s *Server) execute(c *campaign) (*sfi.CampaignResult, error) {
 	}
 
 	csp := sp.Child("compile")
-	snap, err := s.cache.Get(c.spec.source, c.spec.ccfg, func() (*core.Analysis, error) {
-		mod, _, err := c.spec.build()
-		if err != nil {
-			return nil, err
-		}
-		return core.Analyze(mod, c.spec.ccfg)
+	w := s.warm.get(c.spec.warmKey(), func() (*core.Result, *sfi.Target, error) {
+		return s.compile(c.spec, csp)
 	})
-	if err != nil {
-		csp.End()
-		return nil, err
-	}
-	mod, outs, err := c.spec.build()
-	if err != nil {
-		csp.End()
-		return nil, err
-	}
-	a, err := snap.Replay(mod)
-	if err != nil {
-		csp.End()
-		return nil, err
-	}
-	res, err := a.Finalize(c.spec.ccfg)
 	csp.End()
-	if err != nil {
-		return nil, err
+	if w.err != nil {
+		return nil, w.err
 	}
 
 	tsp := sp.Child("trials")
 	defer tsp.End()
-	return sfi.RunCampaign(res.Mod, res.Metas, outs, sfi.CampaignConfig{
+	return w.target.Run(sfi.CampaignConfig{
 		Trials: c.spec.trials, Seed: c.spec.seed, Dmax: c.spec.dmax, Bits: c.spec.bits,
 		Workers: c.spec.workers, Engine: c.spec.ccfg.Interp.Engine, Obs: s.reg,
-		App: c.spec.app, Regions: RegionTable(res, c.spec.dmax),
+		App: c.spec.app, Regions: RegionTable(w.res, c.spec.dmax),
 		Trace: obs.NewJSONLSink(c),
 		Stats: c.est,
 		Ctx:   c.ctx, ShardSize: c.spec.shard,
 		Stop:        c.spec.stop,
 		Checkpoints: c.spec.checkpoints,
 	})
+}
+
+// compile builds a warm-target entry for a cold key: analysis through
+// the shared snapshot cache, Replay onto a fresh build, Finalize, and the
+// golden target (golden run and ladder capture, timed under sp). The
+// compile reports into the server's registry.
+func (s *Server) compile(spec campaignSpec, sp *obs.Span) (*core.Result, *sfi.Target, error) {
+	ccfg := spec.ccfg
+	ccfg.Obs = s.reg
+	snap, err := s.cache.Get(spec.source, ccfg, func() (*core.Analysis, error) {
+		mod, _, err := spec.build()
+		if err != nil {
+			return nil, err
+		}
+		return core.Analyze(mod, ccfg)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	mod, outs, err := spec.build()
+	if err != nil {
+		return nil, nil, err
+	}
+	a, err := snap.Replay(mod)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := a.Finalize(ccfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	tg, err := sfi.NewTarget(res.Mod, res.Metas, outs, ccfg.Interp.Engine, spec.checkpoints, sp)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, tg, nil
 }
 
 // finish returns the campaign's admission budget and settles the

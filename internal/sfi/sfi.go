@@ -104,14 +104,15 @@ func MeasureMasking(build func() (*ir.Module, []*ir.Global), cfg MaskingConfig) 
 	sp := reg.Span("sfi/masking")
 	defer sp.End()
 	mod, outs := build()
-	pool := newMachinePool(mod, nil, cfg.Engine)
-	m := pool.get()
+	set := &machineSet{mod: mod, engine: cfg.Engine, prog: interp.Predecode(mod)}
+	defer set.release()
+	m := set.get()
 	if _, err := m.Run(); err != nil {
 		return nil, fmt.Errorf("sfi: golden run: %w", err)
 	}
 	golden := m.Checksum(outs...)
 	total := m.Count
-	pool.put(m)
+	set.put(m)
 
 	// Pre-derive every trial's plan from the seed, then execute trials on
 	// a bounded worker pool (each worker owns one machine); results are
@@ -129,7 +130,7 @@ func MeasureMasking(build func() (*ir.Module, []*ir.Global), cfg MaskingConfig) 
 		}
 	}
 	var mu sync.Mutex
-	runTrials(pool, 0, len(plans), cfg.Workers, 0, nil, reg, cfg.Progress, func(w *interp.Machine, t int) {
+	runTrials(set, 0, len(plans), cfg.Workers, 0, nil, reg, cfg.Progress, func(w *interp.Machine, t int) {
 		w.Reset()
 		w.InjectFault(plans[t])
 		_, err := w.Run()
@@ -405,7 +406,111 @@ func (c *CampaignResult) RecoveredRate() float64 {
 // bounded worker pool (workpool.Dispatch); a canceled cfg.Ctx stops
 // scheduling at shard granularity and RunCampaign returns the partial
 // result with the context's error.
+//
+// RunCampaign is exactly NewTarget followed by Target.Run, both under one
+// "sfi/campaign" span; callers that run many campaigns against one
+// compiled module build the Target once and call Run per campaign.
 func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, cfg CampaignConfig) (*CampaignResult, error) {
+	sp := obs.Or(cfg.Obs).Span("sfi/campaign")
+	defer sp.End()
+	t, err := NewTarget(mod, metas, outs, cfg.Engine, cfg.Checkpoints, sp)
+	if err != nil {
+		return nil, err
+	}
+	return t.run(cfg, sp)
+}
+
+// Target is the campaign-invariant half of an injection campaign against
+// one instrumented module: the pre-decoded program, the golden run's
+// output checksum and dynamic instruction count, and the checkpoint
+// ladder. All of it is a deterministic function of (module, engine,
+// checkpoint count), so one Target serves any number of campaigns —
+// concurrently, too: Run only reads it, and Restore only reads the
+// ladder's snapshots.
+type Target struct {
+	mod         *ir.Module
+	metas       []interp.RegionMeta
+	outs        []*ir.Global
+	engine      interp.Engine
+	checkpoints int
+
+	prog   *interp.Program
+	golden uint64
+	total  int64
+	ladder *interp.Ladder
+}
+
+// NewTarget pre-decodes mod, runs it once on engine to fix the golden
+// checksum over outs and the dynamic instruction total, and, when
+// checkpoints > 0, captures a checkpoints-rung snapshot ladder in one
+// more pass (see CampaignConfig.Checkpoints). The two runs are timed as
+// the "golden" and "capture" children of parent (nil records nothing).
+// Negative checkpoints, or more checkpoints than the golden run has
+// instructions, are errors. The machines it builds are released before
+// it returns.
+func NewTarget(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, engine interp.Engine, checkpoints int, parent *obs.Span) (*Target, error) {
+	if checkpoints < 0 {
+		return nil, fmt.Errorf("sfi: negative checkpoint count %d (0 disables the ladder)", checkpoints)
+	}
+	t := &Target{
+		mod: mod, metas: metas, outs: outs, engine: engine, checkpoints: checkpoints,
+		prog: interp.Predecode(mod),
+	}
+	set := t.machines()
+	defer set.release()
+	sp := parent.Child("golden")
+	m := set.get()
+	_, err := m.Run()
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("sfi: golden run: %w", err)
+	}
+	t.golden, t.total = m.Checksum(outs...), m.Count
+	set.put(m)
+
+	// Checkpoint ladder: one extra pass over the golden prefix captures
+	// every snapshot; trials then fork from the nearest rung below their
+	// injection point instead of replaying from instruction zero.
+	if checkpoints > 0 {
+		if int64(checkpoints) > t.total {
+			return nil, fmt.Errorf("sfi: %d checkpoints exceed the golden run's %d dynamic instructions", checkpoints, t.total)
+		}
+		sp := parent.Child("capture")
+		defer sp.End()
+		_, lad, err := set.get().RunWithSnapshots(interp.LadderRungs(checkpoints, t.total))
+		if err != nil {
+			return nil, fmt.Errorf("sfi: checkpoint capture: %w", err)
+		}
+		t.ladder = lad
+	}
+	return t, nil
+}
+
+// Run executes one campaign against the target (see RunCampaign), timed
+// as an "sfi/campaign" span whose "trials" child covers the trial loop
+// (and, for adaptive campaigns, whose "regionmap" child covers the hooked
+// run that predicts each trial's strike region). cfg.Engine and
+// cfg.Checkpoints must equal the values the target was built with; a
+// mismatch is an error rather than a silent rebuild.
+func (tg *Target) Run(cfg CampaignConfig) (*CampaignResult, error) {
+	sp := obs.Or(cfg.Obs).Span("sfi/campaign")
+	defer sp.End()
+	return tg.run(cfg, sp)
+}
+
+// machines returns a fresh machine set over the target's module,
+// warm-starting from its ladder (if any).
+func (tg *Target) machines() *machineSet {
+	return &machineSet{mod: tg.mod, metas: tg.metas, engine: tg.engine, prog: tg.prog, ladder: tg.ladder}
+}
+
+func (tg *Target) run(cfg CampaignConfig, sp *obs.Span) (*CampaignResult, error) {
+	if cfg.Engine != tg.engine {
+		return nil, fmt.Errorf("sfi: campaign engine %s differs from the target's %s", cfg.Engine, tg.engine)
+	}
+	if cfg.Checkpoints != tg.checkpoints {
+		return nil, fmt.Errorf("sfi: campaign wants %d checkpoints but the target captured %d", cfg.Checkpoints, tg.checkpoints)
+	}
 	if cfg.Trials <= 0 {
 		cfg.Trials = 200
 	}
@@ -414,9 +519,6 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	}
 	if cfg.Dmax < 0 {
 		return nil, fmt.Errorf("sfi: negative Dmax %d (latency is sampled uniformly from [0, Dmax])", cfg.Dmax)
-	}
-	if cfg.Checkpoints < 0 {
-		return nil, fmt.Errorf("sfi: negative checkpoint count %d (0 disables the ladder)", cfg.Checkpoints)
 	}
 	if cfg.Shard != nil && cfg.Stop != nil {
 		return nil, fmt.Errorf("sfi: Shard and Stop cannot be combined (adaptive stopping decides from the global record stream)")
@@ -436,36 +538,9 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	}
 	cfg.Workers = ClampWorkers(cfg.Workers, cfg.Trials)
 	reg := obs.Or(cfg.Obs)
-	sp := reg.Span("sfi/campaign")
-	defer sp.End()
-	pool := newMachinePool(mod, metas, cfg.Engine)
-	m := pool.get()
-	if _, err := m.Run(); err != nil {
-		return nil, fmt.Errorf("sfi: golden run: %w", err)
-	}
-	golden := m.Checksum(outs...)
-	total := m.Count
-	pool.put(m)
-
-	// Checkpoint ladder: one extra pass over the golden prefix captures
-	// every snapshot; trials then fork from the nearest rung below their
-	// injection point instead of replaying from instruction zero. The
-	// ladder is attached to the pool so freshly built worker machines
-	// warm-start pre-loaded with the deepest snapshot's state.
-	var ladder *interp.Ladder
-	if cfg.Checkpoints > 0 {
-		if int64(cfg.Checkpoints) > total {
-			return nil, fmt.Errorf("sfi: %d checkpoints exceed the golden run's %d dynamic instructions", cfg.Checkpoints, total)
-		}
-		cm := pool.get()
-		_, lad, err := cm.RunWithSnapshots(interp.LadderRungs(cfg.Checkpoints, total))
-		if err != nil {
-			return nil, fmt.Errorf("sfi: checkpoint capture: %w", err)
-		}
-		pool.put(cm)
-		ladder = lad
-		pool.attachLadder(lad)
-	}
+	total, ladder, outs, golden := tg.total, tg.ladder, tg.outs, tg.golden
+	set := tg.machines()
+	defer set.release()
 
 	res := &CampaignResult{Trials: cfg.Trials}
 	r := rng(cfg.Seed ^ 0xFA0C7)
@@ -534,7 +609,9 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	// already-converged regions without executing them.
 	var stop *stopRun
 	if cfg.Stop != nil {
-		rm, err := trace.RecordRegionMap(mod, metas, pool.prog)
+		rsp := sp.Child("regionmap")
+		rm, err := trace.RecordRegionMap(tg.mod, tg.metas, tg.prog)
+		rsp.End()
 		if err != nil {
 			return nil, fmt.Errorf("sfi: %w", err)
 		}
@@ -626,8 +703,10 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 			emitDone()
 		}
 	}
+	tsp := sp.Child("trials")
+	defer tsp.End()
 	if stop == nil {
-		runTrials(pool, lo, hi, cfg.Workers, cfg.ShardSize, cancel, reg, cfg.Progress, doTrial)
+		runTrials(set, lo, hi, cfg.Workers, cfg.ShardSize, cancel, reg, cfg.Progress, doTrial)
 	} else {
 		// Round loop: pin the skip set from completed-round tallies, run
 		// the round (skips cost a scheduling step, not an execution), then
@@ -644,7 +723,7 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 				rhi = hi
 			}
 			stop.decide(rlo, rhi)
-			runTrials(pool, rlo, rhi, cfg.Workers, cfg.ShardSize, cancel, reg, cfg.Progress, func(w *interp.Machine, t int) {
+			runTrials(set, rlo, rhi, cfg.Workers, cfg.ShardSize, cancel, reg, cfg.Progress, func(w *interp.Machine, t int) {
 				if stop.skip[t] {
 					if done != nil {
 						mu.Lock()
@@ -692,51 +771,69 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	return res, nil
 }
 
-// machinePool hands out ready-to-run machines for one campaign. All
-// machines share a single pre-decoded Program (decoding is per-module,
-// not per-machine work) and are recycled through a sync.Pool, so a
-// worker picking up where the golden run left off inherits its memory
-// image, frame slots, and checkpoint buffers instead of reallocating
-// them.
-type machinePool struct {
-	// prog is the shared pre-decoded Program; also handed to the
-	// adaptive region-map run so it skips re-decoding.
-	prog *interp.Program
-	// ladder, when attached, warm-starts freshly built machines: they
-	// come out of New pre-restored to the deepest snapshot, so a worker's
-	// first fork pays a dirty-delta restore instead of a cold image.
-	// Written once before trial workers spawn, read-only after.
+// machineSet builds and owns the machines of one campaign phase (a
+// target's golden and capture runs, one Run's trial workers, or one
+// masking study). All of them share one pre-decoded Program. get reuses a machine put
+// back earlier in the phase and builds a new one otherwise; release hands
+// every machine the set ever built back to interp's image pool, so a
+// finished campaign leaves no memory image for the garbage collector and
+// the next campaign's machines start on recycled, already-zeroed images.
+type machineSet struct {
+	mod    *ir.Module
+	metas  []interp.RegionMeta
+	engine interp.Engine
+	prog   *interp.Program
+	// ladder, when set, warm-starts freshly built machines: they come out
+	// of get pre-restored to the deepest snapshot, so a worker's first
+	// fork pays a dirty-delta restore instead of a cold image.
 	ladder *interp.Ladder
-	pool   sync.Pool
+
+	mu   sync.Mutex
+	all  []*interp.Machine // every machine built; release frees them
+	idle []*interp.Machine // put back and ready for reuse
 }
 
-func newMachinePool(mod *ir.Module, metas []interp.RegionMeta, engine interp.Engine) *machinePool {
-	prog := interp.Predecode(mod)
-	p := &machinePool{prog: prog}
-	p.pool.New = func() any {
-		w := interp.New(mod, interp.Config{Engine: engine})
-		w.UseProgram(prog)
-		if metas != nil {
-			w.SetRuntime(metas)
-		}
-		if s := p.ladder.Deepest(); s != nil {
-			// Warm start: pre-load the deepest snapshot so the machine's
-			// frames, register slices, and memory deltas are materialized
-			// before its first trial. A failure here is harmless — the
-			// trial loop Resets and replays from scratch.
-			_ = w.Restore(s)
-		}
+func (s *machineSet) get() *interp.Machine {
+	s.mu.Lock()
+	if n := len(s.idle); n > 0 {
+		w := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		s.mu.Unlock()
 		return w
 	}
-	return p
+	s.mu.Unlock()
+	w := interp.New(s.mod, interp.Config{Engine: s.engine})
+	w.UseProgram(s.prog)
+	if s.metas != nil {
+		w.SetRuntime(s.metas)
+	}
+	if d := s.ladder.Deepest(); d != nil {
+		// Warm start: pre-load the deepest snapshot so the machine's
+		// frames, register slices, and memory deltas are materialized
+		// before its first trial. A failure here is harmless — the trial
+		// loop Resets and replays from scratch.
+		_ = w.Restore(d)
+	}
+	s.mu.Lock()
+	s.all = append(s.all, w)
+	s.mu.Unlock()
+	return w
 }
 
-// attachLadder publishes the campaign's checkpoint ladder to the pool.
-// Must be called before trial workers start building machines.
-func (p *machinePool) attachLadder(l *interp.Ladder) { p.ladder = l }
+func (s *machineSet) put(w *interp.Machine) {
+	s.mu.Lock()
+	s.idle = append(s.idle, w)
+	s.mu.Unlock()
+}
 
-func (p *machinePool) get() *interp.Machine  { return p.pool.Get().(*interp.Machine) }
-func (p *machinePool) put(w *interp.Machine) { p.pool.Put(w) }
+// release returns every machine the set built to interp's image pool.
+// No machine of the set may be in use.
+func (s *machineSet) release() {
+	for _, w := range s.all {
+		w.Release()
+	}
+	s.all, s.idle = nil, nil
+}
 
 // EnvWorkers returns the ENCORE_WORKERS environment override as a worker
 // count, or 0 when the variable is unset, malformed, or non-positive (the
@@ -784,13 +881,13 @@ func shardSize(size, trials, workers int) int {
 // trials), its end-of-run throughput lands in the
 // "sfi.worker.trials_per_sec" histogram, and prog (may be nil) is
 // stepped once per completed trial.
-func runTrials(pool *machinePool, lo, hi, workers, shard int, cancel <-chan struct{}, reg *obs.Registry, prog *obs.Progress, fn func(w *interp.Machine, t int)) {
+func runTrials(set *machineSet, lo, hi, workers, shard int, cancel <-chan struct{}, reg *obs.Registry, prog *obs.Progress, fn func(w *interp.Machine, t int)) {
 	trials := hi - lo
 	workers = ClampWorkers(workers, trials)
 	shard = shardSize(shard, trials, workers)
 	rate := reg.Histogram("sfi.worker.trials_per_sec")
 	workpool.Dispatch(trials, shard, workers, cancel, func(_ int, pull func() (workpool.Shard, bool)) {
-		w := pool.get()
+		w := set.get()
 		w.AttachObs(reg)
 		start := time.Now()
 		n := 0
@@ -805,6 +902,6 @@ func runTrials(pool *machinePool, lo, hi, workers, shard int, cancel <-chan stru
 			rate.Observe(int64(float64(n) / el))
 		}
 		w.AttachObs(nil)
-		pool.put(w)
+		set.put(w)
 	})
 }

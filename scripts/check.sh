@@ -20,7 +20,9 @@
 # reproduces the single-process ledger and stats byte for byte, that
 # -adaptive stopping elides the same trials regardless of worker count
 # and engine, and that fork-from-checkpoint trials (-checkpoints) leave
-# the trial ledger byte-identical to full golden-prefix replay.
+# the trial ledger byte-identical to full golden-prefix replay. The
+# daemon smoke also resubmits its campaign and checks that the warm
+# (cached golden target) ledger is the batch bytes too.
 #
 # Usage: scripts/check.sh   (or: make check)
 set -eu
@@ -215,6 +217,20 @@ cmp -s "$tmp/trace.jsonl" "$tmp/served.jsonl" || {
 	diff "$tmp/trace.jsonl" "$tmp/served.jsonl" >&2 || true
 	exit 1
 }
+# The same campaign a second time is warm: it skips compile, golden run
+# and ladder capture, and runs on the daemon's cached golden target. Its
+# ledger must still be the batch bytes.
+cid2=$(curl -sS -X POST "http://$addr/v1/campaigns" \
+	-H 'Content-Type: application/json' \
+	-d '{"workload":"rawcaudio","trials":5,"seed":1,"dmax":100}' \
+	| sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+[ -n "$cid2" ] || { echo "encore-serve: warm submit returned no campaign id" >&2; exit 1; }
+curl -sS "http://$addr/v1/campaigns/$cid2/ledger" > "$tmp/served-warm.jsonl"
+cmp -s "$tmp/trace.jsonl" "$tmp/served-warm.jsonl" || {
+	echo "encore-serve: warm served ledger differs from batch encore-sfi -trace:" >&2
+	diff "$tmp/trace.jsonl" "$tmp/served-warm.jsonl" >&2 || true
+	exit 1
+}
 curl -sS "http://$addr/v1/campaigns/$cid" > "$tmp/serve-status.json"
 grep -q '"state":"done"' "$tmp/serve-status.json" || { echo "encore-serve: campaign did not settle done" >&2; exit 1; }
 curl -sS "http://$addr/metrics" > "$tmp/serve-metrics.json"
@@ -224,6 +240,7 @@ grep -q '"regions"' "$tmp/serve-stats.json" || { echo "encore-serve: /stats miss
 grep -q '"trials":5' "$tmp/serve-stats.json" || { echo "encore-serve: /stats trials != 5" >&2; exit 1; }
 curl -sS "http://$addr/metrics?format=prom" > "$tmp/serve.prom"
 grep -q '^# TYPE encore_serve_campaigns_accepted counter' "$tmp/serve.prom" || { echo "encore-serve: prom exposition missing serve counters" >&2; exit 1; }
+awk '$1 == "encore_serve_warm_hits" && $2 >= 1 { ok = 1 } END { exit !ok }' "$tmp/serve.prom" || { echo "encore-serve: /metrics shows no serve.warm.hits after a repeated submit" >&2; exit 1; }
 go run scripts/promlint.go "$tmp/serve.prom" || { echo "encore-serve: /metrics?format=prom failed promlint" >&2; exit 1; }
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "encore-serve: non-zero exit on SIGTERM drain" >&2; cat "$tmp/serve.log" >&2; exit 1; }
