@@ -21,10 +21,12 @@ bench:
 	$(GO) test ./internal/core ./internal/idem -run '^$$' -bench '.' -benchmem
 	$(GO) run ./cmd/encore-bench -quick -json $(BENCH) > /dev/null
 
-# Short-budget run of the generative oracles (internal/progen): each fuzz
-# target replays its checked-in corpus and then explores for FUZZTIME.
+# Short-budget run of the generative oracles (internal/progen) and the
+# IR parser's robustness target (internal/ir FuzzParse): each fuzz target
+# replays its checked-in corpus and then explores for FUZZTIME.
 # Raise the budget for a deeper hunt: make fuzz-smoke FUZZTIME=5m
 fuzz-smoke:
+	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/progen -run '^$$' -fuzz '^FuzzIdempotence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/progen -run '^$$' -fuzz '^FuzzRecovery$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/progen -run '^$$' -fuzz '^FuzzEngines$$' -fuzztime $(FUZZTIME)

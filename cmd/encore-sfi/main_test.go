@@ -44,7 +44,7 @@ func TestEngineInvariantTable(t *testing.T) {
 		return out.String()
 	}
 	want := run("")
-	for _, engine := range []string{"fast", "ref", "closure"} {
+	for _, engine := range []string{"compiled", "ref", "fast", "closure"} {
 		if got := run(engine); got != want {
 			t.Errorf("-engine %s table diverges:\n%s\nvs default:\n%s", engine, got, want)
 		}

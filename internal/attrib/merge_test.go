@@ -65,8 +65,14 @@ func TestMergeByteIdentical(t *testing.T) {
 		single := fx.ledger(t, base)
 		for _, workers := range []int{1, 3} {
 			for _, shards := range []int{2, 3, 5} {
-				for _, eng := range []interp.Engine{interp.EngineFast, interp.EngineRef} {
-					t.Run(fmt.Sprintf("%s/w%d/k%d/%v", app, workers, shards, eng), func(t *testing.T) {
+				// Engines by their -engine spelling: "fast" is an alias of
+				// the compiled engine.
+				for _, spelling := range []string{"fast", "ref"} {
+					eng, err := interp.ParseEngine(spelling)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Run(fmt.Sprintf("%s/w%d/k%d/%s", app, workers, shards, spelling), func(t *testing.T) {
 						parts, err := sfi.Partition(base.Seed, trials, shards)
 						if err != nil {
 							t.Fatal(err)

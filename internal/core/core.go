@@ -19,6 +19,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"sync"
 
 	"encore/internal/alias"
 	"encore/internal/idem"
@@ -118,6 +119,13 @@ type Result struct {
 	CkptRegBytes     int64
 	CkptMemBytes     int64
 	RegionEntries    int64
+
+	// hashes caches regionHash for each of Regions: a region's hash
+	// depends only on its code, fixed once Finalize returns, not on the
+	// dmax RegionCoverages is asked for, so every call after the first
+	// (encore-serve builds a region table per request) reuses it.
+	hashOnce sync.Once
+	hashes   []string
 }
 
 // Analysis is the output of the γ/budget-independent front half of the
@@ -452,15 +460,21 @@ type RegionCoverage struct {
 // (selected or not) at the given detection-latency bound, in region-ID
 // order.
 func (r *Result) RegionCoverages(dmax float64) []RegionCoverage {
+	r.hashOnce.Do(func() {
+		r.hashes = make([]string, len(r.Regions))
+		for i, rg := range r.Regions {
+			r.hashes[i] = regionHash(rg)
+		}
+	})
 	total := float64(r.Prof.Total)
 	out := make([]RegionCoverage, 0, len(r.Regions))
-	for _, rg := range r.Regions {
+	for i, rg := range r.Regions {
 		rc := RegionCoverage{
 			ID: rg.ID, Fn: rg.Fn.Name, Header: rg.Header.Name,
 			Class: rg.Analysis.Class, Selected: rg.Selected,
 			InstanceLen: rg.InstanceLen(),
 			Alpha:       model.Alpha(rg.InstanceLen(), dmax),
-			Hash:        regionHash(rg),
+			Hash:        r.hashes[i],
 		}
 		if total > 0 {
 			rc.DynFrac = float64(rg.DynInstrs) / total

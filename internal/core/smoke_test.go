@@ -52,3 +52,35 @@ func TestPipelineSmoke(t *testing.T) {
 		})
 	}
 }
+
+// TestRegionHashesCachedPerResult checks that RegionCoverages' cached
+// region hashes equal a fresh regionHash of every region at every dmax,
+// and that two compiles of one workload agree on them.
+func TestRegionHashesCachedPerResult(t *testing.T) {
+	sp, err := workload.ByName("175.vpr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []RegionCoverage
+	for build := 0; build < 2; build++ {
+		res, err := Compile(sp.Build().Mod, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dmax := range []float64{10, 100, 1000} {
+			rcs := res.RegionCoverages(dmax)
+			if len(rcs) != len(res.Regions) || len(rcs) == 0 {
+				t.Fatalf("dmax %v: %d coverage rows for %d regions", dmax, len(rcs), len(res.Regions))
+			}
+			for i, rc := range rcs {
+				if want := regionHash(res.Regions[i]); rc.Hash != want {
+					t.Fatalf("build %d dmax %v region %d: hash %s, fresh %s", build, dmax, rc.ID, rc.Hash, want)
+				}
+				if first != nil && rc.Hash != first[i].Hash {
+					t.Fatalf("region %d hash differs between compiles", rc.ID)
+				}
+			}
+			first = rcs
+		}
+	}
+}

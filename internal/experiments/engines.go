@@ -16,7 +16,7 @@ import (
 type EngineRow struct {
 	Engine string
 	// MInstrPerSec is steady-state dispatch speed over full fault-free
-	// runs (the closure engine's one-time compilation is warmed up
+	// runs (the compiled engine's one-time compilation is warmed up
 	// beforehand, as every long-lived machine pool amortizes it).
 	MInstrPerSec float64
 	// TrialsPerSec is end-to-end SFI campaign throughput — the quantity
@@ -34,7 +34,7 @@ type EnginesResult struct {
 // dispatchRuns is the number of timed fault-free runs per engine.
 const dispatchRuns = 5
 
-// Engines measures each execution engine on one representative workload:
+// Engines measures both execution engines on one representative workload:
 // raw dispatch speed over the instrumented module and SFI trial
 // throughput. Outcomes are engine-invariant — the campaign counts are
 // asserted identical across engines as a side effect — so the spread
@@ -55,10 +55,10 @@ func (h *Harness) Engines(app string) (*EnginesResult, error) {
 	trials := h.trials(300)
 	out := &EnginesResult{App: app, Trials: trials}
 	var golden *sfi.CampaignResult
-	for _, e := range []interp.Engine{interp.EngineFast, interp.EngineRef, interp.EngineClosure} {
+	for _, e := range []interp.Engine{interp.EngineCompiled, interp.EngineRef} {
 		m := interp.New(res.Mod, interp.Config{Engine: e})
 		m.SetRuntime(res.Metas)
-		if _, err := m.Run(); err != nil { // warm-up: closure AOT compile, caches
+		if _, err := m.Run(); err != nil { // warm-up: AOT compile, caches
 			m.Release()
 			return nil, fmt.Errorf("%s/%s: %w", app, e, err)
 		}
@@ -87,7 +87,7 @@ func (h *Harness) Engines(app string) (*EnginesResult, error) {
 			golden = camp
 		} else if camp.Counts != golden.Counts || camp.SameInstance != golden.SameInstance {
 			return nil, fmt.Errorf("%s/%s: campaign outcomes diverged from %s: %v vs %v",
-				app, e, interp.EngineFast, camp.Counts, golden.Counts)
+				app, e, interp.EngineCompiled, camp.Counts, golden.Counts)
 		}
 		out.Rows = append(out.Rows, EngineRow{
 			Engine:       e.String(),

@@ -5,41 +5,40 @@ import (
 )
 
 // This file implements the closure-compiled execution engine
-// (EngineClosure), the third interpreter tier next to the reference loop
-// (ref.go) and the pre-decoded fast loop (run.go). The pre-decoded
-// instruction stream is AOT-compiled into threaded code: one Go closure
-// per dinstr with its operands bound at compile time, chained by direct
-// continuation calls within a basic block so the hot path is a straight
-// run of closure calls — no opcode switch, no per-instruction counter
-// updates, no per-instruction stop checks. Block and frame transfers go
-// through a trampoline (cvm.next) so the Go stack never grows with the
-// interpreted program's control flow.
+// (EngineCompiled), the default interpreter tier next to the reference
+// loop (ref.go). The pre-decoded instruction stream (decode.go) is
+// AOT-compiled into threaded code: one Go closure per dinstr with its
+// operands bound at compile time, chained by direct continuation calls
+// within a basic block so the hot path is a straight run of closure
+// calls — no opcode switch, no per-instruction counter updates, no
+// per-instruction stop checks. Block and frame transfers go through a
+// trampoline (cvm.next) so the Go stack never grows with the interpreted
+// program's control flow.
 //
 // Instruction accounting is block-batched. A block's total cost is
 // pre-added when execution (re-)enters it, so during the chain
 //
-//	cvm.count = exact fast-loop count + cost of the block's unretired tail
+//	cvm.count = exact count + cost of the block's unretired tail
 //
 // and steps that expose the counters mid-block — calls, externs,
 // SetRecovery's entryCount, traps — subtract the tail (a compile-time
-// constant per pc) to recover the exact fast-loop value. The same
-// pre-add doubles as the stop check: the fast loop hands off to the
-// reference engine when its per-instruction check sees count >= stop,
-// which for a segment entered at count c with total cost C (terminator
-// cost 1 included) happens iff c + C - 1 >= stop, i.e. c + C > stop.
-// The re-entry steps test exactly that and delegate the segment to
-// loopFastFrom, which then stops (or traps on budget exhaustion) at the
-// precise instruction the per-step check would have — so fault windows,
-// scheduled detections, and budget traps are bit-identical across
-// engines.
+// constant per pc) to recover the exact value. The same pre-add doubles
+// as the stop check: a stop event at count S (see nextStop) lies inside
+// a segment entered at count c with total cost C (terminator cost 1
+// included) iff c + C > S. The re-entry steps test exactly that and hand
+// the segment to the reference loop, whose per-instruction checks fire
+// the event at the precise instruction — so fault windows, scheduled
+// detections, budget traps and checkpoint captures are bit-identical to
+// a run on the reference loop alone. The reference loop hands control
+// back as soon as the event has fired and the segment it stands in fits
+// below the next stop (ref.go).
 //
 // Two compiled variants exist per Program — plain and profiled (the
-// profiled one bumps the dense block/edge counters at terminator retire,
-// exactly like the fast loop) — built lazily and shared by every machine
-// using the Program, including concurrent SFI pool workers: compiled
-// steps capture only immutable decode-time data (operand indices, region
-// IDs, continuation pointers) and reach all mutable state through the
-// per-run cvm.
+// profiled one bumps the dense block/edge counters at terminator
+// retire) — built lazily and shared by every machine using the Program,
+// including concurrent SFI pool workers: compiled steps capture only
+// immutable decode-time data (operand indices, region IDs, continuation
+// pointers) and reach all mutable state through the per-run cvm.
 
 // step is one compiled instruction. regs is threaded through the chain
 // as an argument (rather than re-loaded from the cvm) so the register
@@ -52,34 +51,37 @@ type cprog struct {
 	// block successor, assuming its cost was already pre-added.
 	steps []step
 	// resume[pc] is the re-entry point used by block transfers, call and
-	// return edges, and loopClosureFrom: it performs the segment stop
-	// check, pre-adds the cost of pc..terminator, then runs steps[pc].
+	// return edges, and loopCompiledFrom: it performs the segment stop
+	// check, pre-adds cost[pc], then runs steps[pc].
 	resume []step
+	// cost[pc] is the Count cost of pc through its block's terminator,
+	// inclusive: the amount resume[pc] pre-adds and tests against the
+	// stop, which the reference loop's hand-back test mirrors.
+	cost []int64
 }
 
-// Closure-engine exit reasons (cvm.exit).
+// Compiled-engine exit reasons (cvm.exit).
 const (
 	exitRun      uint8 = iota // still executing
 	exitDone                  // returned past baseDepth; retVal is the result
 	exitTrap                  // err holds the trap; counters already exact
-	exitDelegate              // stop event pending: hand delegPC to the fast loop
+	exitDelegate              // stop event pending: hand delegPC to the reference loop
 	exitSymptom               // OOB access with an undetected injected fault at delegPC
 )
 
-// cvm is the closure engine's per-run mutable state, the counterpart of
-// the fast loop's locals. Compiled steps receive it as their first
+// cvm is the compiled engine's per-run mutable state. Compiled steps receive it as their first
 // argument; everything reached through it belongs to exactly one machine.
 type cvm struct {
 	m   *Machine
 	mem []int64
 
 	// Shadow counters in block-batched form (see the file comment):
-	// count/ovh run ahead of the exact fast-loop values by the cost of
-	// the current block's unretired tail.
+	// count/ovh run ahead of the exact values by the cost of the current
+	// block's unretired tail.
 	count, ovh int64
 	stop       int64
 
-	// Dirty-memory watermarks, mirroring the fast loop's locals.
+	// Dirty-memory watermarks, mirroring the machine's.
 	dLo, dHi  int64
 	sLo, sHi  int64
 	stackBase int64
@@ -100,7 +102,7 @@ type cvm struct {
 }
 
 // stepCost returns one decoded instruction's (Count, overhead) cost,
-// matching the fast loop's accounting: checkpoint pseudo-ops count
+// matching the reference loop's accounting: checkpoint pseudo-ops count
 // toward Count but also toward the overhead delta (they are excluded
 // from BaseCount), and OpCkptMem costs two instructions (addr+data).
 func stepCost(op uint8) (count, ovh int64) {
@@ -119,11 +121,10 @@ func stepCost(op uint8) (count, ovh int64) {
 // counters.
 func compileClosures(p *Program, profiled bool) *cprog {
 	n := len(p.code)
-	cp := &cprog{steps: make([]step, n), resume: make([]step, n)}
+	cp := &cprog{steps: make([]step, n), resume: make([]step, n), cost: make([]int64, n)}
 
-	// resumeCost[pc] / resumeOvh[pc]: cost of pc through its block's
-	// terminator, inclusive — the amount resume[pc] pre-adds.
-	resumeCost := make([]int64, n)
+	// resumeOvh[pc] is the overhead share of cost[pc].
+	resumeCost := cp.cost
 	resumeOvh := make([]int64, n)
 	for _, b := range p.blocks {
 		base := p.blockPC[b]
@@ -174,7 +175,7 @@ func compileClosures(p *Program, profiled bool) *cprog {
 // undetected fault pending it becomes a symptom handoff (the reference
 // loop fires the detector), otherwise a trap. adjC/adjO subtract the
 // block tail beyond the access, which retires its count before the
-// bounds check observes the state — exactly the fast loop's order.
+// bounds check observes the state — exactly the reference loop's order.
 func (v *cvm) oob(pc int32, adjC, adjO int64, what string, addr int64) {
 	v.count -= adjC
 	v.ovh -= adjO
@@ -411,7 +412,7 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 			v.regs = nf.regs
 			v.fp = nf.fp
 			if entryStep == nil {
-				panic("interp: closure engine: call to function without body")
+				panic("interp: compiled engine: call to function without body")
 			}
 			v.next = entryStep
 		}
@@ -452,10 +453,9 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 			v.fp = fr.fp
 			regs[dst] = val
 			if v.count > v.stop {
-				// The handler advanced the count into a stop event (budget
-				// or fault window): hand the rest of the block to the fast
-				// loop, which stops exactly where its per-instruction check
-				// fires.
+				// The handler advanced the count into a stop event (budget,
+				// fault window or capture rung): hand the rest of the block
+				// to the reference loop, which fires the event at once.
 				v.count -= adjC
 				v.ovh -= adjO
 				v.exit = exitDelegate
@@ -517,7 +517,7 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 		}
 	case uint8(ir.OpCkptMem):
 		a, off := in.a, in.imm
-		// OpCkptMem costs two counts; its fast-loop OOB trap fires after
+		// OpCkptMem costs two counts; its OOB trap fires after
 		// only the first (plus one overhead), hence the -1 adjustments.
 		adjC, adjO := rc-1, ro-1
 		return func(v *cvm, regs []int64) {
@@ -702,9 +702,8 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 	}
 }
 
-// loopClosure enters the closure engine for a fresh call, mirroring
-// loopFast.
-func (m *Machine) loopClosure() (int64, error) {
+// loopCompiled enters the compiled engine for a fresh call.
+func (m *Machine) loopCompiled() (int64, error) {
 	p := m.program()
 	fr := &m.frames[len(m.frames)-1]
 	pc, ok := p.entry[fr.fn]
@@ -712,24 +711,19 @@ func (m *Machine) loopClosure() (int64, error) {
 		m.popFrame()
 		return 0, m.trap(ErrNoMain, "function %s has no body", fr.fn.Name)
 	}
-	return m.loopClosureFrom(len(m.frames)-1, pc)
+	return m.loopCompiledFrom(len(m.frames)-1, pc)
 }
 
-// loopClosureFrom runs the closure engine from an arbitrary pc with an
-// explicit base frame depth — the entry point both for fresh calls and
-// for the reference loop handing control back after a fault settles.
-// Any stop event (fault window, scheduled detection, budget exhaustion)
-// terminates the compiled segment by delegating to loopFastFrom, whose
-// per-instruction checks handle the event bit-identically; a symptom
-// (out-of-bounds under a pending fault) goes through symptomHandoff like
-// the fast loop's.
-func (m *Machine) loopClosureFrom(baseDepth int, pc int32) (int64, error) {
-	p := m.program()
-	cp := p.closures(m.Prof != nil)
-	budget := m.Cfg.MaxInstrs
-	// stop mirrors loopFastFrom: the budget, tightened to the next
-	// pending fault event (see the comment there).
-	stop := budget
+// nextStop returns the dynamic instruction count the compiled engine must
+// not run past: the instruction budget, tightened to the next pending
+// fault event (before injection that is InjectAt-1, covering both the
+// between-instruction register-file strike at InjectAt and the
+// post-instruction output corruption of the first instruction retiring
+// at InjectAt; after injection it is the scheduled detection point — a
+// settled fault has no pending events), and tightened again to the next
+// checkpoint-capture rung when a RunWithSnapshots pass is active.
+func (m *Machine) nextStop() int64 {
+	stop := m.Cfg.MaxInstrs
 	if m.fault != nil {
 		switch {
 		case !m.fault.injected:
@@ -742,9 +736,28 @@ func (m *Machine) loopClosureFrom(baseDepth int, pc int32) (int64, error) {
 			}
 		}
 	}
-	if m.Prof != nil && len(m.pBlocks) != len(p.blocks) {
-		m.pBlocks = make([]int64, len(p.blocks))
-		m.pEdges = make([]int64, p.numEdges)
+	if len(m.snapRungs) > 0 && m.snapRungs[0] < stop {
+		stop = m.snapRungs[0]
+	}
+	return stop
+}
+
+// loopCompiledFrom runs the compiled engine from an arbitrary pc with an
+// explicit base frame depth — the entry point both for fresh calls and
+// for the reference loop handing control back. A checkpoint rung the run
+// has reached is captured first. Any block holding a stop event (fault
+// window, scheduled detection, budget exhaustion, capture rung) is handed
+// to the reference loop, whose per-instruction checks handle the event
+// at the exact instruction and which hands control back once the event
+// has fired; a symptom (out-of-bounds under a pending fault) goes
+// through symptomHandoff.
+func (m *Machine) loopCompiledFrom(baseDepth int, pc int32) (int64, error) {
+	p := m.program()
+	cp := p.closures(m.Prof != nil)
+	m.sizeDense(p)
+	if len(m.snapRungs) > 0 && m.Count >= m.snapRungs[0] {
+		m.mergeDense(p)
+		m.captureSnapshot(pc)
 	}
 	fr := &m.frames[len(m.frames)-1]
 	v := &cvm{
@@ -752,7 +765,7 @@ func (m *Machine) loopClosureFrom(baseDepth int, pc int32) (int64, error) {
 		mem:       m.Mem,
 		count:     m.Count,
 		ovh:       m.Count - m.BaseCount,
-		stop:      stop,
+		stop:      m.nextStop(),
 		dLo:       m.dirtyLo,
 		dHi:       m.dirtyHi,
 		sLo:       m.dirtyStkLo,
@@ -770,21 +783,53 @@ func (m *Machine) loopClosureFrom(baseDepth int, pc int32) (int64, error) {
 		v.next = nil
 		s(v, v.regs)
 	}
+	// Write the shadow counters back and fold the dense profile counters
+	// into the Profile maps: the machine fields are authoritative again.
+	m.Count, m.BaseCount = v.count, v.count-v.ovh
+	m.dirtyLo, m.dirtyHi = v.dLo, v.dHi
+	m.dirtyStkLo, m.dirtyStkHi = v.sLo, v.sHi
+	m.mergeDense(p)
 	switch v.exit {
 	case exitDone:
-		m.fastFlush(p, v.count, v.count-v.ovh, v.dLo, v.dHi, v.sLo, v.sHi)
 		return v.retVal, nil
 	case exitTrap:
-		m.fastFlush(p, v.count, v.count-v.ovh, v.dLo, v.dHi, v.sLo, v.sHi)
 		return 0, v.err
 	case exitSymptom:
-		return m.symptomHandoff(p, baseDepth, v.delegPC, v.count, v.count-v.ovh, v.dLo, v.dHi, v.sLo, v.sHi)
-	default: // exitDelegate
-		m.Count, m.BaseCount = v.count, v.count-v.ovh
-		m.dirtyLo, m.dirtyHi = v.dLo, v.dHi
-		m.dirtyStkLo, m.dirtyStkHi = v.sLo, v.sHi
-		return m.loopFastFrom(baseDepth, v.delegPC)
+		return m.symptomHandoff(p, baseDepth, v.delegPC)
 	}
+	m.HandoffsToRef++
+	return m.enterRef(p, baseDepth, v.delegPC)
+}
+
+// symptomHandoff reroutes an out-of-bounds access that struck while an
+// injected fault is pending detection: address faults are "highly
+// visible symptoms" (§4.3), so — exactly like the reference loop's
+// symptomTrap path — the access retires its count without executing and
+// detection is rescheduled to fire immediately. The reference loop takes
+// over at the same position and runs the detection.
+func (m *Machine) symptomHandoff(p *Program, baseDepth int, pc int32) (int64, error) {
+	m.fault.detectAt = m.Count
+	m.HandoffsToRef++
+	return m.enterRef(p, baseDepth, pc)
+}
+
+// enterRef continues the segment at pc on the reference loop. Frames
+// the segment pushed get reference-form return points, and — with
+// profiling on — their in-flight blocks are credited: the compiled
+// engine counts a block when its terminator retires, the reference loop
+// when it enters the block, and it returns into parked frames mid-block
+// without counting. loopRefFrom credits the top frame's block itself.
+func (m *Machine) enterRef(p *Program, baseDepth int, pc int32) (int64, error) {
+	for d := baseDepth; d < len(m.frames)-1; d++ {
+		f := &m.frames[d]
+		f.retTo.b, f.retTo.idx = p.refPos(f.retPC)
+		f.retTo.dst = ir.Reg(f.retDst)
+		if m.Prof != nil {
+			m.Prof.Block[f.retTo.b]++
+		}
+	}
+	b, idx := p.refPos(pc)
+	return m.loopRefFrom(baseDepth, b, idx)
 }
 
 // closures returns the Program's compiled form for the requested

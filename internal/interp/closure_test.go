@@ -13,13 +13,14 @@ func TestParseEngine(t *testing.T) {
 		want Engine
 		ok   bool
 	}{
-		{"", EngineFast, true},
-		{"fast", EngineFast, true},
+		{"", EngineCompiled, true},
+		{"compiled", EngineCompiled, true},
+		{"fast", EngineCompiled, true},    // retired engine name: alias
+		{"closure", EngineCompiled, true}, // retired engine name: alias
 		{"ref", EngineRef, true},
 		{"reference", EngineRef, true},
-		{"closure", EngineClosure, true},
-		{"Closure", EngineFast, false},
-		{"jit", EngineFast, false},
+		{"Closure", EngineCompiled, false},
+		{"jit", EngineCompiled, false},
 	}
 	for _, c := range cases {
 		got, err := ParseEngine(c.in)
@@ -31,7 +32,7 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	for _, e := range []Engine{EngineFast, EngineRef, EngineClosure} {
+	for _, e := range []Engine{EngineCompiled, EngineRef} {
 		back, err := ParseEngine(e.String())
 		if err != nil || back != e {
 			t.Errorf("round trip %v: got %v, %v", e, back, err)
@@ -40,11 +41,11 @@ func TestParseEngine(t *testing.T) {
 }
 
 // TestClosureFaultTrajectory runs the manually instrumented checkpoint
-// region under the closure engine with an injected fault: the closure
-// segment must pause before the injection window, the reference loop
-// must roll back, and control must return to the closure engine to
-// finish — with a fault report and counters identical to the fast
-// engine's.
+// region under the compiled engine with an injected fault: the compiled
+// segment must hand the injection window to the reference loop, which
+// must roll back, and control must return to the compiled engine to
+// finish — with a fault report and counters identical to a run on the
+// reference loop alone.
 func TestClosureFaultTrajectory(t *testing.T) {
 	mod, _, metas := buildCkptFunc()
 	run := func(e Engine) (*Machine, int64) {
@@ -57,31 +58,31 @@ func TestClosureFaultTrajectory(t *testing.T) {
 		}
 		return mach, got
 	}
-	fast, fGot := run(EngineFast)
-	clos, cGot := run(EngineClosure)
-	if cGot != 1998 || fGot != cGot {
-		t.Errorf("recovered run: closure=%d fast=%d, want 1998", cGot, fGot)
+	ref, rGot := run(EngineRef)
+	comp, cGot := run(EngineCompiled)
+	if cGot != 1998 || rGot != cGot {
+		t.Errorf("recovered run: compiled=%d ref=%d, want 1998", cGot, rGot)
 	}
-	fr, cr := fast.FaultReport(), clos.FaultReport()
-	if fr != cr {
-		t.Errorf("fault reports diverge:\n fast:    %+v\n closure: %+v", fr, cr)
+	rr, cr := ref.FaultReport(), comp.FaultReport()
+	if rr != cr {
+		t.Errorf("fault reports diverge:\n ref:      %+v\n compiled: %+v", rr, cr)
 	}
 	if !cr.Injected || !cr.Detected || !cr.RolledBack || !cr.SameInstance {
-		t.Errorf("closure fault handling incomplete: %+v", cr)
+		t.Errorf("compiled fault handling incomplete: %+v", cr)
 	}
-	if fast.Count != clos.Count || fast.BaseCount != clos.BaseCount {
-		t.Errorf("counters: fast=(%d,%d) closure=(%d,%d)",
-			fast.Count, fast.BaseCount, clos.Count, clos.BaseCount)
+	if ref.Count != comp.Count || ref.BaseCount != comp.BaseCount {
+		t.Errorf("counters: ref=(%d,%d) compiled=(%d,%d)",
+			ref.Count, ref.BaseCount, comp.Count, comp.BaseCount)
 	}
-	if clos.HandoffsToRef == 0 || clos.HandoffsToFast == 0 {
-		t.Errorf("closure run never handed off: toRef=%d toFast=%d",
-			clos.HandoffsToRef, clos.HandoffsToFast)
+	if comp.HandoffsToRef == 0 || comp.HandoffsToCompiled == 0 {
+		t.Errorf("compiled run never handed off: toRef=%d toCompiled=%d",
+			comp.HandoffsToRef, comp.HandoffsToCompiled)
 	}
 }
 
 // TestClosureBudgetTrap: budget exhaustion inside a compiled segment
-// must delegate to the fast loop and surface the identical ErrBudget
-// trap at the identical count.
+// must hand the segment to the reference loop and surface the identical
+// ErrBudget trap at the identical count.
 func TestClosureBudgetTrap(t *testing.T) {
 	build := func() *ir.Module {
 		m := ir.NewModule("t")
@@ -93,15 +94,17 @@ func TestClosureBudgetTrap(t *testing.T) {
 		f.Recompute()
 		return m
 	}
-	fast := New(build(), Config{MaxInstrs: 1000})
-	_, fErr := fast.Run()
-	clos := New(build(), Config{MaxInstrs: 1000, Engine: EngineClosure})
-	_, cErr := clos.Run()
-	if !errors.Is(fErr, ErrBudget) || !errors.Is(cErr, ErrBudget) {
-		t.Fatalf("want ErrBudget from both: fast=%v closure=%v", fErr, cErr)
-	}
-	if fast.Count != clos.Count {
-		t.Errorf("trap counts diverge: fast=%d closure=%d", fast.Count, clos.Count)
+	for _, budget := range []int64{999, 1000, 1001} {
+		ref := New(build(), Config{MaxInstrs: budget, Engine: EngineRef})
+		_, rErr := ref.Run()
+		comp := New(build(), Config{MaxInstrs: budget})
+		_, cErr := comp.Run()
+		if !errors.Is(rErr, ErrBudget) || !errors.Is(cErr, ErrBudget) {
+			t.Fatalf("budget %d: want ErrBudget from both: ref=%v compiled=%v", budget, rErr, cErr)
+		}
+		if ref.Count != comp.Count || comp.Count != budget {
+			t.Errorf("budget %d: trap counts ref=%d compiled=%d", budget, ref.Count, comp.Count)
+		}
 	}
 }
 
@@ -116,7 +119,7 @@ func TestClosureOOBTrap(t *testing.T) {
 	b.Load(v, a, 0)
 	b.Ret(v)
 	f.Recompute()
-	mach := New(m, Config{Engine: EngineClosure})
+	mach := New(m, Config{})
 	if _, err := mach.Run(); !errors.Is(err, ErrOutOfBounds) {
 		t.Errorf("want ErrOutOfBounds, got %v", err)
 	}
@@ -125,13 +128,12 @@ func TestClosureOOBTrap(t *testing.T) {
 	}
 }
 
-// TestClosureResetRerun: a closure-engine machine must Reset and rerun
-// like the other engines (the SFI pool's usage pattern), reusing the
-// shared compiled program.
+// TestClosureResetRerun: a compiled-engine machine must Reset and rerun
+// (the SFI pool's usage pattern), reusing the shared compiled program.
 func TestClosureResetRerun(t *testing.T) {
 	mod, _, metas := buildCkptFunc()
 	prog := Predecode(mod)
-	mach := New(mod, Config{Engine: EngineClosure})
+	mach := New(mod, Config{})
 	mach.UseProgram(prog)
 	mach.SetRuntime(metas)
 	var first int64

@@ -6,15 +6,14 @@ import (
 	"encore/internal/ir"
 )
 
-// This file lowers IR modules into the pre-decoded form the fast
-// interpreter loop executes. Decoding happens once per module (at machine
-// construction or first run) and turns the pointer-rich ir.Instr/ir.Block
-// graph into a flat instruction array with:
+// This file lowers IR modules into the pre-decoded form the compiled
+// engine (closure.go) is built from. Decoding happens once per module
+// (at machine construction or first run) and turns the pointer-rich
+// ir.Instr/ir.Block graph into a flat instruction array with:
 //
-//   - dense int32 register operands (no ir.Reg conversions in the loop),
+//   - dense int32 register operands (no ir.Reg conversions at run time),
 //   - absolute jump targets (block terminators become stream opcodes, so
-//     the loop is a single pc-indexed dispatch with no instrs/terminator
-//     split),
+//     every position is one pc with no instrs/terminator split),
 //   - globals resolved to absolute addresses at decode time (OpGlobal
 //     becomes a constant load),
 //   - per-block dense IDs across the whole module, so profiling counters
@@ -25,9 +24,8 @@ import (
 // Decoding never mutates the module, so any number of machines — including
 // concurrent ones — may share one Program via UseProgram.
 
-// Decoded terminator opcodes, placed directly after the ir.Opcode space:
-// the fast loop's dispatch switch then covers one dense byte range, which
-// the compiler lowers to a jump table instead of a comparison tree.
+// Decoded terminator opcodes, placed directly after the ir.Opcode space
+// so one byte covers every decoded opcode.
 const (
 	dJmp uint8 = uint8(ir.OpRestore) + 1 + iota
 	dBr
@@ -84,8 +82,8 @@ type Program struct {
 	switches [][]int32
 
 	// pc -> (dense block ID, instruction index) for handing execution
-	// from the fast loop to the reference loop mid-run (fault-injection
-	// pauses). idxOf == len(b.Instrs) denotes the terminator slot.
+	// from the compiled engine to the reference loop mid-run (stop
+	// events). idxOf == len(b.Instrs) denotes the terminator slot.
 	blockOf []int32
 	idxOf   []int32
 	// block -> pc of its first instruction, for the reverse handoff (the
@@ -95,13 +93,13 @@ type Program struct {
 	blockPC map[*ir.Block]int32
 
 	// Closure-compiled forms (closure.go), built lazily on first use by
-	// the closure engine and shared by every machine using this Program:
+	// the compiled engine and shared by every machine using this Program:
 	// index 0 is the plain variant, index 1 the profiled one.
 	closOnce [2]sync.Once
 	clos     [2]*cprog
 }
 
-// refPos maps a fast-loop pc to the (block, instruction index) position
+// refPos maps a compiled-engine pc to the (block, instruction index) position
 // the reference loop uses.
 func (p *Program) refPos(pc int32) (*ir.Block, int) {
 	return p.blocks[p.blockOf[pc]], int(p.idxOf[pc])
@@ -252,7 +250,15 @@ func (m *Machine) program() *Program {
 	return m.prog
 }
 
-// mergeDense folds the fast path's dense profiling counters into the
+// sizeDense allocates a profiled machine's dense counters for p.
+func (m *Machine) sizeDense(p *Program) {
+	if m.Prof != nil && len(m.pBlocks) != len(p.blocks) {
+		m.pBlocks = make([]int64, len(p.blocks))
+		m.pEdges = make([]int64, p.numEdges)
+	}
+}
+
+// mergeDense folds the compiled engine's dense profiling counters into the
 // map-based Profile the rest of the system consumes, then clears them so
 // repeated Calls accumulate correctly.
 func (m *Machine) mergeDense(p *Program) {
@@ -263,7 +269,15 @@ func (m *Machine) mergeDense(p *Program) {
 		if c == 0 {
 			continue
 		}
-		m.Prof.Block[p.blocks[i]] += c
+		// A reference-loop handback cancels a block count with -1, which
+		// may bring an entry to zero: drop it, so the maps hold exactly the
+		// entries a run on either engine alone creates.
+		b := p.blocks[i]
+		if v := m.Prof.Block[b] + c; v != 0 {
+			m.Prof.Block[b] = v
+		} else {
+			delete(m.Prof.Block, b)
+		}
 		m.pBlocks[i] = 0
 	}
 	for i, b := range p.blocks {

@@ -10,9 +10,8 @@ import (
 	"encore/internal/workload"
 )
 
-// TestEngineEquivalence is the guard for the quiescent engines: for
-// every workload, uninstrumented and Encore-instrumented, the
-// pre-decoded fast loop and the closure-compiled engine must agree with
+// TestEngineEquivalence is the guard for the compiled engine: for every
+// workload, uninstrumented and Encore-instrumented, it must agree with
 // the reference loop on every observable — return value, trap
 // classification, instruction counters, output checksum, checkpoint
 // accounting, and the execution profile.
@@ -52,7 +51,7 @@ type engineRun struct {
 func checkEquiv(t *testing.T, label string, mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global) {
 	t.Helper()
 	var runs []engineRun
-	for _, e := range []interp.Engine{interp.EngineRef, interp.EngineFast, interp.EngineClosure} {
+	for _, e := range []interp.Engine{interp.EngineRef, interp.EngineCompiled} {
 		m := interp.New(mod, interp.Config{Profile: true, Engine: e})
 		defer m.Release()
 		if metas != nil {
@@ -67,7 +66,7 @@ func checkEquiv(t *testing.T, label string, mod *ir.Module, metas []interp.Regio
 	}
 }
 
-// diffRuns compares one quiescent engine's run against the reference
+// diffRuns compares the compiled engine's run against the reference
 // oracle's.
 func diffRuns(t *testing.T, label string, ref, got engineRun, outs []*ir.Global) {
 	t.Helper()
@@ -101,7 +100,7 @@ func diffRuns(t *testing.T, label string, ref, got engineRun, outs []*ir.Global)
 		t.Errorf("%s: max buffer: got=%d ref=%d", label, got.m.MaxBufferBytes, ref.m.MaxBufferBytes)
 	}
 
-	// Profile equivalence by Freq semantics: the quiescent engines' merged
+	// Profile equivalence by Freq semantics: the compiled engine's merged
 	// dense counters may leave explicit zero entries the reference path
 	// never creates, so zero-valued entries are identity.
 	for _, pair := range []struct{ a, b *interp.Profile }{{got.m.Prof, ref.m.Prof}, {ref.m.Prof, got.m.Prof}} {

@@ -10,22 +10,21 @@
 // executed against per-region checkpoint buffers, mirroring the reserved
 // stack region the paper describes (§3.2).
 //
-// Execution is served by three interchangeable engines, selected by
-// Config.Engine (engine.go). The fast engine (run.go, the default)
-// dispatches over a pre-decoded flat instruction stream (decode.go) with
-// all hot state in locals and no per-instruction hook, fault, or metric
-// checks; block and edge profiles are kept in dense arrays indexed by
-// pre-decoded IDs and folded into the Profile maps only at loop exit.
-// The closure engine (closure.go) AOT-compiles that stream into
-// threaded-code closures — one per instruction, linked by direct
-// continuation calls with block-batched instruction accounting — for
-// another dispatch-cost step down. The reference engine (ref.go) walks
-// the ir structures directly, carries the full observation machinery
-// (hooks, fault injection, scheduled detection), and doubles as the
-// semantic oracle: the equivalence guard test pins both other engines to
-// it on every workload. A run may hand control back and forth — the
-// quiescent engine pauses at the next pending fault event and resumes
-// once the fault settles — and the machine counts those handoffs.
+// Execution is served by two interchangeable engines, selected by
+// Config.Engine (engine.go). The compiled engine (closure.go, the
+// default) AOT-compiles a pre-decoded flat instruction stream
+// (decode.go) into threaded-code closures — one per instruction, linked
+// by direct continuation calls with block-batched instruction
+// accounting and no per-instruction hook, fault, or metric checks; block
+// and edge profiles are kept in dense arrays indexed by pre-decoded IDs
+// and folded into the Profile maps only at segment exit. The reference
+// engine (ref.go) walks the ir structures directly, carries the full
+// observation machinery (hooks, fault injection, scheduled detection),
+// and doubles as the semantic oracle: the equivalence guard test pins
+// the compiled engine to it on every workload. A run may hand control
+// back and forth — the compiled engine hands the block holding the next
+// pending event to the reference loop, which hands back once the event
+// has fired — and the machine counts those handoffs.
 // Observability likewise stays off the hot path: a machine with an
 // attached obs.Registry (AttachObs, or Config.Obs) folds its counters in
 // only at Reset/Release boundaries.
@@ -118,17 +117,15 @@ type Config struct {
 
 	// Reference forces the reference dispatch loop even when no hook or
 	// fault plan is present. Used by the equivalence guard tests and
-	// benchmarks to compare the pre-decoded fast path against the
-	// semantic oracle. Equivalent to Engine == EngineRef, which it
-	// predates.
+	// benchmarks to compare the compiled engine against the semantic
+	// oracle. Equivalent to Engine == EngineRef, which it predates.
 	Reference bool
 
 	// Engine selects the dispatch engine for quiescent execution
-	// (engine.go): the pre-decoded fast loop (EngineFast, the zero
-	// default), the reference loop (EngineRef), or the closure-compiled
-	// engine (EngineClosure). A Hook or the active phase of a fault
-	// overrides the selection with the reference loop; all engines are
-	// observationally equivalent.
+	// (engine.go): the closure-compiled engine (EngineCompiled, the zero
+	// default) or the reference loop (EngineRef). A Hook or the active
+	// phase of a fault overrides the selection with the reference loop;
+	// both engines are observationally equivalent.
 	Engine Engine
 
 	// Obs, when non-nil, attaches the machine to a metrics registry:
@@ -208,13 +205,13 @@ type Machine struct {
 	output []int64 // values emitted via the "emit" extern
 
 	// Pre-decoded program state (decode.go). prog is decoded lazily on
-	// first fast-path run, or installed via UseProgram for sharing.
+	// first compiled run, or installed via UseProgram for sharing.
 	prog      *Program
 	externFns []ExternFunc // per-extern-site handlers resolved for this machine
-	extArgs   []int64      // scratch argument buffer for fast-path extern calls
+	extArgs   []int64      // scratch argument buffer for compiled extern calls
 
 	// Dense profiling counters, indexed by Program block/edge IDs; merged
-	// into Prof at fast-loop exit.
+	// into Prof at compiled segment exit.
 	pBlocks, pEdges []int64
 
 	// Dirty-memory watermarks: the inclusive address ranges written since
@@ -250,11 +247,12 @@ type Machine struct {
 		count, base, ckptReg, ckptMem, regionEntries int64
 	}
 
-	// HandoffsToRef counts fast→reference engine handoffs (fault events
-	// and mid-fault symptom traps); HandoffsToFast counts the reference
-	// loop handing a settled fault back to the fast loop. Both reset with
+	// HandoffsToRef counts compiled→reference engine handoffs (blocks
+	// holding a stop event, and mid-fault symptom traps);
+	// HandoffsToCompiled counts the reference loop handing control back
+	// once the event has fired. Both reset with
 	// the machine and fold into an attached registry at flush boundaries.
-	HandoffsToRef, HandoffsToFast int64
+	HandoffsToRef, HandoffsToCompiled int64
 
 	obsSink *obsSink
 
@@ -272,7 +270,7 @@ type obsSink struct {
 	ckptMem       *obs.Counter
 	regionEntries *obs.Counter
 	toRef         *obs.Counter
-	toFast        *obs.Counter
+	toCompiled    *obs.Counter
 	blockExecs    *obs.Counter
 	edgeExecs     *obs.Counter
 	resetWords    *obs.Histogram
@@ -302,7 +300,7 @@ func (m *Machine) AttachObs(reg *obs.Registry) {
 		ckptMem:       reg.Counter("interp.ckpt.mem_bytes"),
 		regionEntries: reg.Counter("interp.region.entries"),
 		toRef:         reg.Counter("interp.handoff.to_ref"),
-		toFast:        reg.Counter("interp.handoff.to_fast"),
+		toCompiled:    reg.Counter("interp.handoff.to_compiled"),
 		blockExecs:    reg.Counter("interp.profile.block_execs"),
 		edgeExecs:     reg.Counter("interp.profile.edge_execs"),
 		resetWords:    reg.Histogram("interp.reset.words"),
@@ -324,8 +322,8 @@ func (m *Machine) flushObs() {
 	s.ckptMem.Add(m.CkptMemBytes - m.obsBias.ckptMem)
 	s.regionEntries.Add(m.RegionEntries - m.obsBias.regionEntries)
 	s.toRef.Add(m.HandoffsToRef)
-	s.toFast.Add(m.HandoffsToFast)
-	m.HandoffsToRef, m.HandoffsToFast = 0, 0
+	s.toCompiled.Add(m.HandoffsToCompiled)
+	m.HandoffsToRef, m.HandoffsToCompiled = 0, 0
 	if m.Prof != nil {
 		var blocks, edges int64
 		for _, c := range m.Prof.Block {
@@ -336,8 +334,8 @@ func (m *Machine) flushObs() {
 				edges += c
 			}
 		}
-		// The dense fast-path counters are already folded into the maps:
-		// every fast-loop exit runs fastFlush → mergeDense, which drains
+		// The dense compiled-engine counters are already folded into the
+		// maps: every compiled segment exit runs mergeDense, which drains
 		// them, so the maps are authoritative at flush boundaries.
 		s.blockExecs.Add(blocks)
 		s.edgeExecs.Add(edges)
@@ -493,7 +491,7 @@ func (m *Machine) Reset() {
 	m.Count, m.BaseCount = 0, 0
 	m.CkptRegBytes, m.CkptMemBytes, m.RegionEntries = 0, 0, 0
 	m.MaxBufferBytes = 0
-	m.HandoffsToRef, m.HandoffsToFast = 0, 0
+	m.HandoffsToRef, m.HandoffsToCompiled = 0, 0
 	m.instanceSeq = 0
 	m.obsBias.count, m.obsBias.base = 0, 0
 	m.obsBias.ckptReg, m.obsBias.ckptMem, m.obsBias.regionEntries = 0, 0, 0

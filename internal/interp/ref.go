@@ -10,9 +10,9 @@ import (
 // frame stack drains back past its starting depth, returning the value of
 // the final return.
 //
-// The pre-decoded fast loop (run.go) must stay observationally equivalent
-// to this loop on fault-free, hook-free runs: identical return values,
-// Count/BaseCount, checkpoint-byte counters, and profile counts. The
+// The compiled engine (closure.go) must stay observationally equivalent
+// to this loop: identical return values, Count/BaseCount,
+// checkpoint-byte counters, profile counts, and fault trajectories. The
 // equivalence guard test (equiv_test.go) pins that down for every
 // workload; Config.Reference forces this loop for such comparisons.
 func (m *Machine) loopRef() (int64, error) {
@@ -22,52 +22,22 @@ func (m *Machine) loopRef() (int64, error) {
 
 // loopRefFrom runs the reference loop from an arbitrary (block, index)
 // position with an explicit base frame depth — the entry point both for
-// fresh calls and for mid-run handoffs from the fast loop (which counts a
-// block only when its terminator retires, so the in-flight block is
-// counted here on entry in either case).
+// fresh calls and for mid-run handoffs from the compiled engine (which
+// counts a block only when its terminator retires, so the in-flight
+// block is counted here on entry in either case).
 func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int) (int64, error) {
 	fr := &m.frames[len(m.frames)-1]
 	var retVal int64
 	if m.Prof != nil {
 		m.Prof.Block[b]++
 	}
+	// A capture pass (RunWithSnapshots) runs on the compiled engine
+	// whatever the machine's configured engine.
+	compiled := m.Cfg.Hook == nil && (!m.refOnly() || len(m.snapRungs) > 0)
 
 	for {
-		// Once a fault is injected, the only event the reference loop owns
-		// is its detection — and that fires at a known instruction count,
-		// which the quiescent engines can stop at. So as soon as the fault
-		// is quiescent (injected with detection still in the future, or
-		// fully settled after detection) and no hook is observing, hand
-		// control back to the configured quiescent engine: the mirror
-		// image of its InjectAt-1 pause. A detection that is already due
-		// must fire here first.
-		if m.fault != nil && m.fault.injected && m.Cfg.Hook == nil && !m.Cfg.Reference &&
-			m.Cfg.Engine != EngineRef &&
-			(m.fault.detected || m.Count < m.fault.detectAt) {
-			p := m.program()
-			for d := baseDepth; d < len(m.frames)-1; d++ {
-				f := &m.frames[d]
-				f.retPC = p.blockPC[f.retTo.b] + int32(f.retTo.idx)
-				f.retDst = int32(f.retTo.dst)
-			}
-			pc := p.blockPC[b] + int32(idx)
-			if m.Prof != nil {
-				// The fast and closure engines count a block when its
-				// terminator retires; cancel that upcoming retire — either
-				// this segment already counted the block at entry, or
-				// (after a rollback) the reference loop would not have
-				// counted the recovery block at all.
-				if len(m.pBlocks) != len(p.blocks) {
-					m.pBlocks = make([]int64, len(p.blocks))
-					m.pEdges = make([]int64, p.numEdges)
-				}
-				m.pBlocks[p.blockOf[pc]]--
-			}
-			m.HandoffsToFast++
-			if m.Cfg.Engine == EngineClosure {
-				return m.loopClosureFrom(baseDepth, pc)
-			}
-			return m.loopFastFrom(baseDepth, pc)
+		if compiled && m.mayHandBack(b, idx) {
+			return m.handBack(baseDepth, b, idx)
 		}
 		if m.Count >= m.Cfg.MaxInstrs {
 			return 0, m.trap(ErrBudget, "in %s at %s", fr.fn.Name, b)
@@ -371,6 +341,50 @@ func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int) (int64, error
 		b = next
 		idx = 0
 	}
+}
+
+// mayHandBack reports whether the compiled engine can take over at
+// (b, idx). The reference loop keeps control while an armed fault awaits
+// injection or has its detection due; otherwise it owns only the stop
+// event the compiled engine handed it, and hands back as soon as a
+// capture rung has been reached (the compiled engine takes the
+// snapshot) or the rest of the block fits below the next stop, so the
+// compiled engine's re-entry check passes.
+func (m *Machine) mayHandBack(b *ir.Block, idx int) bool {
+	if f := m.fault; f != nil && (!f.injected || !f.detected && m.Count >= f.detectAt) {
+		return false
+	}
+	if len(m.snapRungs) > 0 && m.Count >= m.snapRungs[0] {
+		return true
+	}
+	p := m.program()
+	pc := p.blockPC[b] + int32(idx)
+	return m.Count+p.closures(m.Prof != nil).cost[pc] <= m.nextStop()
+}
+
+// handBack returns control to the compiled engine at (b, idx): the
+// mirror image of enterRef. Frames above baseDepth get compiled-form
+// return points and, with profiling on, their in-flight blocks are
+// uncounted — each was counted on entry here (or, for a rollback's
+// recovery block, is never counted by the reference loop), and the
+// compiled engine counts it again when its terminator retires.
+func (m *Machine) handBack(baseDepth int, b *ir.Block, idx int) (int64, error) {
+	p := m.program()
+	m.sizeDense(p)
+	for d := baseDepth; d < len(m.frames)-1; d++ {
+		f := &m.frames[d]
+		f.retPC = p.blockPC[f.retTo.b] + int32(f.retTo.idx)
+		f.retDst = int32(f.retTo.dst)
+		if m.Prof != nil {
+			m.pBlocks[p.blockOf[f.retPC]]--
+		}
+	}
+	pc := p.blockPC[b] + int32(idx)
+	if m.Prof != nil {
+		m.pBlocks[p.blockOf[pc]]--
+	}
+	m.HandoffsToCompiled++
+	return m.loopCompiledFrom(baseDepth, pc)
 }
 
 func (m *Machine) countEdge(b *ir.Block, succ int) {

@@ -16,8 +16,8 @@ import (
 //
 // Snapshots capture engine-invariant machine state only — memory as
 // dirty-range deltas against the pristine zero image, the frame stack in
-// fast form, counters, region buffers, profile — so a snapshot taken by
-// the fast loop restores onto a machine running any of the three engines.
+// compiled form, counters, region buffers, profile — so a snapshot taken
+// by the compiled engine restores onto a machine running either engine.
 
 // savedRegion is the frozen form of one frame's live checkpoint buffer.
 // Region metadata is recorded by ID (not pointer) so a snapshot restores
@@ -32,8 +32,8 @@ type savedRegion struct {
 }
 
 // savedFrame is the frozen form of one activation record. Return points
-// are kept in fast form (retPC/retDst); Restore rebuilds reference-form
-// return points lazily via framesToRef only if a handoff needs them.
+// are kept in compiled form (retPC/retDst); reference-form return points
+// are rebuilt by enterRef only if the reference loop takes over.
 type savedFrame struct {
 	fn     *ir.Func
 	regs   []int64
@@ -166,12 +166,12 @@ func LadderRungs(k int, total int64) []int64 {
 // RunWithSnapshots executes main from a fresh Reset, capturing a snapshot
 // at each requested rung (dynamic instruction counts, deduplicated and
 // sorted internally) in a single pass, and returns the run's result with
-// the captured ladder. The capture pass always runs on the fast loop —
-// snapshots hold only engine-invariant state, so they restore onto
-// machines using any engine. Hooks and custom externs are rejected: a
-// hook needs the reference loop, and an extern that re-enters Call leaves
-// intermediate frames without fast-form return points, making a flat
-// capture unsound.
+// the captured ladder. The capture pass always runs on the compiled
+// engine — snapshots hold only engine-invariant state, so they restore
+// onto machines using either engine. Hooks and custom externs are
+// rejected: a hook needs the reference loop, and an extern that
+// re-enters Call leaves intermediate frames without compiled-form return
+// points, making a flat capture unsound.
 func (m *Machine) RunWithSnapshots(rungs []int64) (int64, *Ladder, error) {
 	if m.Cfg.Hook != nil {
 		return 0, nil, fmt.Errorf("interp: RunWithSnapshots does not support hooks")
@@ -213,7 +213,7 @@ func (m *Machine) RunWithSnapshots(rungs []int64) (int64, *Ladder, error) {
 		m.popFrame()
 		return 0, nil, m.trap(ErrNoMain, "function %s has no body", main.Name)
 	}
-	ret, err := m.loopFastFrom(0, pc)
+	ret, err := m.loopCompiledFrom(0, pc)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -222,9 +222,9 @@ func (m *Machine) RunWithSnapshots(rungs []int64) (int64, *Ladder, error) {
 }
 
 // captureSnapshot freezes the machine at pc into the active ladder and
-// consumes every rung the run has now reached. Called by the fast loop
-// immediately after a fastFlush, so the machine fields (counters, dirty
-// watermarks, merged profile) are authoritative.
+// consumes every rung the run has now reached. Called by the compiled
+// engine on entry, after merging the dense profile counters, so the
+// machine fields (counters, dirty watermarks, profile) are authoritative.
 func (m *Machine) captureSnapshot(pc int32) {
 	m.snapLadder.snaps = append(m.snapLadder.snaps, m.snapshot(pc))
 	for len(m.snapRungs) > 0 && m.snapRungs[0] <= m.Count {
@@ -407,7 +407,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.RegionEntries = s.regionEntries
 	m.MaxBufferBytes = s.maxBufferBytes
 	m.instanceSeq = s.instanceSeq
-	m.HandoffsToRef, m.HandoffsToFast = 0, 0
+	m.HandoffsToRef, m.HandoffsToCompiled = 0, 0
 	// The restored prefix was never executed by this machine: bias the
 	// obs-flush so the attached registry only accrues instructions the
 	// machine actually dispatches.
@@ -448,39 +448,21 @@ func (m *Machine) LastRestoreWords() int64 { return m.lastRestoreWords }
 
 // Resume continues execution from the state installed by the last
 // Restore, dispatching exactly as Call would: the reference loop for
-// hooks/EngineRef/mid-fault machines, otherwise the configured quiescent
-// engine (which still pauses at a pending fault event and hands off). An
-// InjectFault between Restore and Resume is the fork-from-snapshot trial
-// pattern: the fault plan's InjectAt must lie beyond the snapshot's
-// Count, which Ladder.Best guarantees.
+// hooks/EngineRef/mid-fault machines, otherwise the compiled engine
+// (which still hands the block holding a pending fault event to the
+// reference loop). An InjectFault between Restore and Resume is the
+// fork-from-snapshot trial pattern: the fault plan's InjectAt must lie
+// beyond the snapshot's Count, which Ladder.Best guarantees.
 func (m *Machine) Resume() (int64, error) {
 	if !m.resumeReady {
 		return 0, fmt.Errorf("interp: Resume without a preceding Restore")
 	}
 	m.resumeReady = false
-	pc := m.resumePC
-	p := m.program()
-	if m.Cfg.Hook != nil || m.Cfg.Reference || m.Cfg.Engine == EngineRef ||
-		(m.fault != nil && m.fault.injected && !m.fault.detected) {
-		m.framesToRef(p, 0)
-		// The snapshot's profile uses the fast convention: a block counts
-		// when its terminator retires, so every live frame's in-flight
-		// block is still uncounted. The reference loop counts blocks on
-		// entry instead — it credits the top frame's block itself when it
-		// starts, but returns into parked caller frames mid-block without
-		// recounting, so their in-flight blocks must be credited here to
-		// match a from-scratch reference run.
-		if m.Prof != nil {
-			for d := 0; d < len(m.frames)-1; d++ {
-				rb, _ := p.refPos(m.frames[d].retPC)
-				m.Prof.Block[rb]++
-			}
-		}
-		b, idx := p.refPos(pc)
-		return m.loopRefFrom(0, b, idx)
+	if m.refOnly() || (m.fault != nil && m.fault.injected && !m.fault.detected) {
+		// The snapshot is in compiled form, every frame's in-flight block
+		// still uncounted: enter the reference loop the way a mid-run
+		// handoff does.
+		return m.enterRef(m.program(), 0, m.resumePC)
 	}
-	if m.Cfg.Engine == EngineClosure {
-		return m.loopClosureFrom(0, pc)
-	}
-	return m.loopFastFrom(0, pc)
+	return m.loopCompiledFrom(0, m.resumePC)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Parse reads a module from the textual form produced by Module.String,
@@ -131,6 +132,9 @@ func parseFuncHeader(m *Module, line string) (*Func, error) {
 		return nil, fmt.Errorf("malformed func header %q", line)
 	}
 	name := rest[:open]
+	if !validName(name) {
+		return nil, fmt.Errorf("malformed func name %q", name)
+	}
 	inner := strings.TrimSuffix(strings.TrimSpace(rest[open+1:]), "):")
 	params, regs, frame := -1, -1, int64(-1)
 	for _, field := range strings.Fields(inner) {
@@ -176,6 +180,9 @@ func (p *parser) funcBody(m *Module, f *Func) error {
 			if i := strings.LastIndexByte(name, '#'); i >= 0 {
 				name = name[:i]
 			}
+			if !validName(name) {
+				return p.errf("malformed block name %q", name)
+			}
 			f.NewBlock(name)
 		}
 	}
@@ -207,6 +214,24 @@ func (p *parser) funcBody(m *Module, f *Func) error {
 	f.Recompute()
 	return nil
 }
+
+// validName reports whether s can name a function, block or extern in
+// the textual form: the printer emits names verbatim, so a name holding
+// whitespace or the grammar's punctuation would not reparse.
+func validName(s string) bool {
+	return strings.IndexFunc(s, unicode.IsSpace) < 0 && !strings.ContainsAny(s, "#:,()[]=")
+}
+
+// minFields is the field count below which a terminator or
+// non-value instruction is truncated (its mnemonic counts as a field).
+var minFields = map[string]int{
+	"jmp": 2, "br": 4, "switch": 2, "store": 4,
+	"setrecovery": 2, "restore": 2, "ckptreg": 3, "ckptmem": 3,
+}
+
+// minArgs is the operand count below which a named value instruction
+// ("rD = <op> ...") is truncated.
+var minArgs = map[string]int{"const": 1, "load": 1, "frame": 1, "global": 1}
 
 func (p *parser) instrOrTerm(m *Module, f *Func, b *Block, t string) error {
 	blockRef := func(s string) (*Block, error) {
@@ -257,6 +282,9 @@ func (p *parser) instrOrTerm(m *Module, f *Func, b *Block, t string) error {
 	fields := strings.Fields(strings.ReplaceAll(t, ",", " "))
 	if len(fields) == 0 {
 		return nil
+	}
+	if n, ok := minFields[fields[0]]; ok && len(fields) < n {
+		return p.errf("truncated instruction %q", t)
 	}
 
 	// Terminators.
@@ -339,6 +367,9 @@ func (p *parser) instrOrTerm(m *Module, f *Func, b *Block, t string) error {
 	}
 	op := fields[2]
 	args := fields[3:]
+	if n, ok := minArgs[op]; ok && len(args) < n {
+		return p.errf("truncated instruction %q", t)
+	}
 	switch op {
 	case "const":
 		v, err := num(args[0])
@@ -372,6 +403,9 @@ func (p *parser) instrOrTerm(m *Module, f *Func, b *Block, t string) error {
 		if len(nameArgs) != 2 {
 			return p.errf("malformed call %q", t)
 		}
+		if !validName(nameArgs[0]) {
+			return p.errf("malformed callee name %q", nameArgs[0])
+		}
 		var rs []Reg
 		inner := strings.TrimSuffix(nameArgs[1], ")")
 		for _, s := range strings.Fields(strings.ReplaceAll(inner, ",", " ")) {
@@ -402,6 +436,14 @@ func (p *parser) instrOrTerm(m *Module, f *Func, b *Block, t string) error {
 		if code == OpInvalid {
 			return p.errf("unknown opcode %q", op)
 		}
+		immOp := code == OpAddI || code == OpMulI || code == OpAndI || code == OpShlI || code == OpShrI
+		arity := 1
+		if code.IsBinary() || immOp {
+			arity = 2
+		}
+		if len(args) < arity {
+			return p.errf("truncated instruction %q", t)
+		}
 		switch {
 		case code.IsBinary():
 			a, err := reg(args[0])
@@ -413,7 +455,7 @@ func (p *parser) instrOrTerm(m *Module, f *Func, b *Block, t string) error {
 				return err
 			}
 			b.Bin(code, d, a, c2)
-		case code == OpAddI, code == OpMulI, code == OpAndI, code == OpShlI, code == OpShrI:
+		case immOp:
 			a, err := reg(args[0])
 			if err != nil {
 				return err

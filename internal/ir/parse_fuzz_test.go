@@ -105,3 +105,32 @@ func TestParseFuzzRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse feeds arbitrary text to Parse, which must return an error or
+// a verified module and never panic — encore-serve parses inline
+// modules straight off the network. A module that parses must print,
+// reparse, and print again to the same text. The checked-in corpus
+// (testdata/fuzz/FuzzParse) holds inputs that once crashed the parser.
+func FuzzParse(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 8; i++ {
+		f.Add(randomModule(rng).String())
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		m, err := Parse(src)
+		if err != nil {
+			return
+		}
+		if err := m.Verify(); err != nil {
+			t.Fatalf("Parse returned an invalid module: %v", err)
+		}
+		text := m.String()
+		m2, err := Parse(text)
+		if err != nil {
+			t.Fatalf("printed module does not reparse: %v\n%s", err, text)
+		}
+		if got := m2.String(); got != text {
+			t.Fatalf("print/reparse diverged\n--- printed ---\n%s\n--- reparsed ---\n%s", text, got)
+		}
+	})
+}

@@ -9,8 +9,8 @@
 //     at registration and updated with atomic operations; spans allocate
 //     one small struct per Begin and aggregate by path on End, so steady
 //     state adds no garbage beyond span starts.
-//   - Boundary-folded. The interpreter's pre-decoded fast loop contains
-//     no metric hooks; machine-level counters are folded into a registry
+//   - Boundary-folded. The interpreter's compiled engine contains no
+//     metric hooks; machine-level counters are folded into a registry
 //     only at Reset/Release boundaries (interp.Machine.AttachObs), and
 //     the dense profiling counters are summed at the same points.
 //   - Nil-safe handles. A nil *Registry yields nil *Counter, *Histogram,

@@ -8,8 +8,8 @@
 // state (any mismatch is an Equations 1–4 / loop meta-summary soundness
 // bug), the recovery oracle injects real faults at every sampled dynamic
 // instruction and demands byte-identical recovery inside covered regions,
-// and the engine oracle diffs the pre-decoded fast path against the
-// reference loop. All three are exposed as native fuzz targets in this
+// and the engine oracle diffs the compiled engine against the reference
+// loop. All three are exposed as native fuzz targets in this
 // package's tests and as a short-budget smoke via `make fuzz-smoke`.
 package progen
 

@@ -32,8 +32,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"runtime/debug"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -336,11 +338,35 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // run executes one admitted campaign end to end and settles its state.
-// It owns the campaign's slice of the admission budget until it returns.
+// It owns the campaign's slice of the admission budget until the
+// campaign settles.
+// A panic in the campaign (trial workers' included, which workpool
+// re-raises here) fails that campaign alone: its stack goes to the
+// structured log and it settles like any other failed campaign, releasing
+// its budget, while every other tenant's campaigns carry on.
 func (s *Server) run(c *campaign) {
-	res, err := s.execute(c)
+	res, err := s.executeRecovered(c)
+	// Return the budget before the campaign reads as settled: a client
+	// that sees it settled may resubmit at once.
+	s.adm.release(c.tenant, c.spec.trials)
 	c.finishRun(res, err)
 	s.finish(c)
+}
+
+// executeRecovered runs execute, turning a panic into an error.
+func (s *Server) executeRecovered(c *campaign) (res *sfi.CampaignResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.reg.Counter("serve.campaigns.panicked").Inc()
+			s.log.event("campaign_panic", map[string]any{
+				"campaign": c.id, "tenant": c.tenant, "app": c.spec.app,
+				"panic": fmt.Sprint(p), "stack": string(debug.Stack()),
+			})
+			msg, _, _ := strings.Cut(fmt.Sprint(p), "\n")
+			res, err = nil, fmt.Errorf("internal error: campaign panicked: %s", msg)
+		}
+	}()
+	return s.execute(c)
 }
 
 // execute fetches the campaign's warm target — compiling the source
@@ -416,11 +442,10 @@ func (s *Server) compile(spec campaignSpec, sp *obs.Span) (*core.Result, *sfi.Ta
 	return res, tg, nil
 }
 
-// finish returns the campaign's admission budget and settles the
-// server-side accounting once its runner is done.
+// finish settles the server-side accounting once the campaign's runner
+// is done.
 func (s *Server) finish(c *campaign) {
 	c.cancel() // release the context's resources; the run is over
-	s.adm.release(c.tenant, c.spec.trials)
 	s.reg.Gauge("serve.inflight.campaigns").Add(-1)
 	st := c.status()
 	switch st.State {

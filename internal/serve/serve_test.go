@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -224,6 +225,58 @@ func TestSubmitValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown campaign: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestCampaignPanicFailsOnlyThatCampaign makes the first campaign's
+// runner panic (through the Gate seam): that campaign must settle failed
+// with the panic in its error, the stack must reach the structured log,
+// its admission budget must come back, and the daemon must keep serving
+// other campaigns.
+func TestCampaignPanicFailsOnlyThatCampaign(t *testing.T) {
+	logw := newSyncBuffer()
+	reg := obs.NewRegistry()
+	var calls atomic.Int64
+	srv := NewServer(Config{
+		MaxInFlightTrials: 10,
+		Obs:               reg,
+		Log:               logw,
+		Gate: func(ctx context.Context, id string) {
+			if calls.Add(1) == 1 {
+				panic("gate exploded")
+			}
+		},
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	body := `{"workload":"rawcaudio","trials":10,"seed":2}`
+	code, st, apiErr, _ := submit(t, ts.URL, "", body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d, error %+v", code, apiErr)
+	}
+	st = waitState(t, ts.URL, st.ID)
+	if st.State != StateFailed || !strings.Contains(st.Error, "gate exploded") {
+		t.Fatalf("panicked campaign settled %q with error %q, want failed naming the panic", st.State, st.Error)
+	}
+	// The panicked campaign held the whole budget: a second campaign of
+	// the same size is only admitted if it was released.
+	code, st2, apiErr, _ := submit(t, ts.URL, "", body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after the panic: status %d, error %+v", code, apiErr)
+	}
+	if st2 = waitState(t, ts.URL, st2.ID); st2.State != StateDone {
+		t.Fatalf("campaign after the panic settled %q (%s)", st2.State, st2.Error)
+	}
+	logged := logw.String()
+	if !strings.Contains(logged, `"event":"campaign_panic"`) || !strings.Contains(logged, "goroutine") {
+		t.Errorf("log has no campaign_panic line with a stack:\n%s", logged)
+	}
+	counters, _, _ := metricValues(reg)
+	if counters["serve.campaigns.panicked"] != 1 || counters["serve.campaigns.failed"] != 1 ||
+		counters["serve.campaigns.completed"] != 1 {
+		t.Errorf("counters panicked/failed/completed = %d/%d/%d, want 1/1/1",
+			counters["serve.campaigns.panicked"], counters["serve.campaigns.failed"], counters["serve.campaigns.completed"])
 	}
 }
 

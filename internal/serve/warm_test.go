@@ -113,6 +113,48 @@ func TestWarmTargetConcurrentSubmits(t *testing.T) {
 	}
 }
 
+// TestWarmTargetEngineAliases submits one campaign under every spelling
+// of the compiled engine — the default, "compiled", and the retired
+// "fast" and "closure" names — and checks that they share one warm
+// entry and one ledger, and that "ref" gets an entry of its own.
+func TestWarmTargetEngineAliases(t *testing.T) {
+	reg := obs.NewRegistry()
+	ts := httptest.NewServer(NewServer(Config{Obs: reg}))
+	defer ts.Close()
+	var first []byte
+	for i, engine := range []string{"", "compiled", "fast", "closure", "ref"} {
+		body := `{"workload":"rawcaudio","trials":8,"seed":3}`
+		if engine != "" {
+			body = fmt.Sprintf(`{"workload":"rawcaudio","trials":8,"seed":3,"engine":%q}`, engine)
+		}
+		code, st, apiErr, _ := submit(t, ts.URL, "", body)
+		if code != http.StatusAccepted {
+			t.Fatalf("engine %q: status %d, error %+v", engine, code, apiErr)
+		}
+		want := "compiled"
+		if engine == "ref" {
+			want = "ref"
+		}
+		if st.Engine != want {
+			t.Errorf("engine %q resolved to %q, want %q", engine, st.Engine, want)
+		}
+		got := fetchLedger(t, ts.URL, st.ID)
+		if st := waitState(t, ts.URL, st.ID); st.State != StateDone {
+			t.Fatalf("engine %q: campaign settled %q", engine, st.State)
+		}
+		if i == 0 {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Errorf("engine %q: ledger differs from the default engine's", engine)
+		}
+	}
+	counters, gauges, _ := metricValues(reg)
+	if counters["serve.warm.misses"] != 2 || counters["serve.warm.hits"] != 3 || gauges["serve.warm.entries"] != 2 {
+		t.Fatalf("warm metrics: misses %d hits %d entries %d, want 2/3/2",
+			counters["serve.warm.misses"], counters["serve.warm.hits"], gauges["serve.warm.entries"])
+	}
+}
+
 // TestWarmCacheBound submits more distinct inline modules than the warm
 // cache holds and checks serve.warm.entries stays at the bound.
 func TestWarmCacheBound(t *testing.T) {

@@ -87,14 +87,14 @@ func TestAdaptiveDeterministic(t *testing.T) {
 		}
 		return camp
 	}
-	ref := run(1, interp.EngineFast)
+	ref := run(1, interp.EngineCompiled)
 	if ref.Skipped == 0 {
 		t.Fatalf("target ±0.12 never converged in 300 trials; test needs a converging region")
 	}
 	for _, v := range []struct {
 		workers int
 		eng     interp.Engine
-	}{{7, interp.EngineFast}, {3, interp.EngineRef}, {0, interp.EngineClosure}} {
+	}{{7, interp.EngineCompiled}, {3, interp.EngineRef}, {0, interp.EngineRef}} {
 		got := run(v.workers, v.eng)
 		if got.Executed != ref.Executed || got.Skipped != ref.Skipped || got.Mispredicted != ref.Mispredicted {
 			t.Errorf("workers=%d engine=%v: executed/skipped/mispred %d/%d/%d vs ref %d/%d/%d",

@@ -33,7 +33,7 @@ func compiled(t *testing.T, name string) (*core.Result, *workload.Artifact) {
 func TestTargetRunMatchesRunCampaign(t *testing.T) {
 	for _, name := range []string{"rawcaudio", "175.vpr", "g721encode"} {
 		res, art := compiled(t, name)
-		for _, eng := range []interp.Engine{interp.EngineFast, interp.EngineClosure} {
+		for _, eng := range []interp.Engine{interp.EngineCompiled, interp.EngineRef} {
 			for _, k := range []int{0, 16} {
 				cfg := func(buf *bytes.Buffer) CampaignConfig {
 					return CampaignConfig{
@@ -70,7 +70,7 @@ func TestTargetRunMatchesRunCampaign(t *testing.T) {
 // with.
 func TestTargetRunRejectsMismatch(t *testing.T) {
 	res, art := compiled(t, "rawcaudio")
-	tg, err := NewTarget(res.Mod, res.Metas, art.Outputs, interp.EngineFast, 4, nil)
+	tg, err := NewTarget(res.Mod, res.Metas, art.Outputs, interp.EngineCompiled, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,8 @@ func TestTargetRunRejectsMismatch(t *testing.T) {
 		cfg  CampaignConfig
 		want string
 	}{
-		{CampaignConfig{Trials: 5, Engine: interp.EngineClosure, Checkpoints: 4}, "engine"},
-		{CampaignConfig{Trials: 5, Engine: interp.EngineFast, Checkpoints: 8}, "checkpoints"},
+		{CampaignConfig{Trials: 5, Engine: interp.EngineRef, Checkpoints: 4}, "engine"},
+		{CampaignConfig{Trials: 5, Engine: interp.EngineCompiled, Checkpoints: 8}, "checkpoints"},
 	} {
 		c.cfg.Obs = obs.NewRegistry()
 		if _, err := tg.Run(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -220,16 +220,16 @@ func TestSnapshotDeterminism(t *testing.T) {
 		app    = "rawcaudio"
 		trials = 24
 	)
-	want := campaignSnapshot(t, app, trials, 1, 0, interp.EngineFast)
+	want := campaignSnapshot(t, app, trials, 1, 0, interp.EngineRef)
 	if len(want) == 0 {
 		t.Fatal("reference snapshot is empty")
 	}
-	for _, engine := range []interp.Engine{interp.EngineFast, interp.EngineClosure} {
+	for _, engine := range []interp.Engine{interp.EngineCompiled, interp.EngineRef} {
 		for _, shape := range []struct{ workers, shard int }{{1, 0}, {4, 1}, {8, 3}} {
 			name := fmt.Sprintf("engine=%v/workers=%d/shard=%d", engine, shape.workers, shape.shard)
 			got := campaignSnapshot(t, app, trials, shape.workers, shape.shard, engine)
 			if !bytes.Equal(want, got) {
-				t.Errorf("%s: snapshot bytes differ from workers=1 fast reference", name)
+				t.Errorf("%s: snapshot bytes differ from the workers=1 reference-engine run", name)
 			}
 		}
 	}

@@ -19,8 +19,10 @@
 package workpool
 
 import (
+	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -73,7 +75,10 @@ type Shard struct {
 // buffer) once around its pull loop instead of per job. The worker count
 // is normalized via Clamp against the shard count; a single worker runs
 // body inline on the caller's goroutine with no goroutine or channel
-// overhead. Dispatch returns when every worker has returned.
+// overhead. Dispatch returns when every worker has returned. A panic in
+// a worker goroutine is re-raised on the caller's goroutine once the
+// other workers have returned — as an error carrying the worker's stack —
+// so a caller can recover it like a panic in an inline body.
 //
 // done, which may be nil, cancels cooperatively at shard granularity: a
 // closed done channel stops pull from handing out further shards, while
@@ -113,12 +118,22 @@ func Dispatch(n, size, workers int, done <-chan struct{}, body func(worker int, 
 		return
 	}
 	var wg sync.WaitGroup
+	var panicked atomic.Pointer[error]
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					err := fmt.Errorf("workpool: worker %d panicked: %v\n%s", w, p, debug.Stack())
+					panicked.CompareAndSwap(nil, &err)
+				}
+			}()
 			body(w, pull)
 		}(w)
 	}
 	wg.Wait()
+	if err := panicked.Load(); err != nil {
+		panic(*err)
+	}
 }

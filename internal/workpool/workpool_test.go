@@ -1,6 +1,8 @@
 package workpool
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -99,5 +101,30 @@ func TestDispatchEmpty(t *testing.T) {
 	Dispatch(-5, 4, 4, nil, func(_ int, pull func() (Shard, bool)) { called = true })
 	if called {
 		t.Fatal("body invoked for an empty job space")
+	}
+}
+
+// TestDispatchWorkerPanic checks that a panic on a worker goroutine
+// reaches the caller's goroutine, after the other workers finish, where
+// a deferred recover can turn it into an error.
+func TestDispatchWorkerPanic(t *testing.T) {
+	var pulled atomic.Int64
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		Dispatch(100, 1, 4, nil, func(w int, pull func() (Shard, bool)) {
+			for sh, ok := pull(); ok; sh, ok = pull() {
+				pulled.Add(1)
+				if sh.Lo == 7 {
+					panic("boom")
+				}
+			}
+		})
+		return nil
+	}()
+	if got == nil || !strings.Contains(fmt.Sprint(got), "boom") {
+		t.Fatalf("recovered %v, want the worker's boom panic", got)
+	}
+	if n := pulled.Load(); n != 100 {
+		t.Errorf("the other workers pulled %d of 100 shards; want the space drained", n)
 	}
 }

@@ -1,16 +1,17 @@
 #!/bin/sh
 # Repository health gate: formatting, vet, doc-comment lint, the full
 # test suite, the race detector over the packages that run concurrent
-# machinery (the interpreter's shared closure-compiled programs, the obs
+# machinery (the interpreter's shared compiled programs, the obs
 # registry, the compiler's per-function analysis fan-out, the SFI trial
 # pool, the campaign daemon, and the experiments compile cache / worker
 # pool), a short-budget run of the generative fuzz oracles
-# (internal/progen), plus command smoke runs that exercise the
-# observability flags end to end — including a check that metrics
-# counters are identical under ENCORE_WORKERS=1 and the default pool,
-# that the closure execution engine reproduces the fast engine's output
-# bit for bit across the full workload suite and the SFI trial ledger,
-# and that the encore-serve daemon's streamed campaign ledger is
+# (internal/progen) and of the IR parser fuzz target (internal/ir), plus
+# command smoke runs that exercise the observability flags end to end —
+# including a check that metrics counters are identical under
+# ENCORE_WORKERS=1 and the default pool, that the default compiled
+# engine reproduces the reference engine's output bit for bit across the
+# full workload suite and the SFI trial ledger, and that the
+# encore-serve daemon's streamed campaign ledger is
 # byte-identical to the batch encore-sfi -trace ledger for the same
 # (workload, config, seed). The telemetry smokes additionally check that
 # encore-sfi -stats output is byte-identical across worker counts and
@@ -52,7 +53,7 @@ go test ./...
 echo "==> go test -race ./internal/interp ./internal/obs ./internal/core ./internal/sfi ./internal/serve ./internal/workpool ./internal/experiments ./internal/trace ./internal/attrib ./internal/stats ./internal/ci ./internal/progen"
 go test -race ./internal/interp ./internal/obs ./internal/core ./internal/sfi ./internal/serve ./internal/workpool ./internal/experiments ./internal/trace ./internal/attrib ./internal/stats ./internal/ci ./internal/progen
 
-echo "==> fuzz smoke (generative oracles, ${FUZZTIME:-10s} per target)"
+echo "==> fuzz smoke (generative oracles + IR parser, ${FUZZTIME:-10s} per target)"
 make -s fuzz-smoke FUZZTIME="${FUZZTIME:-10s}"
 
 tmp=$(mktemp -d)
@@ -116,21 +117,21 @@ grep -q '|err|' "$tmp/report.txt" || { echo "encore-sfi -report: no abs-error co
 "$tmp/encore-sfi" -trace "$tmp/trace2.jsonl" -app rawcaudio -trials 5 > /dev/null
 cmp -s "$tmp/trace.jsonl" "$tmp/trace2.jsonl" || { echo "encore-sfi -trace: not byte-identical across runs" >&2; exit 1; }
 
-echo "==> smoke: closure engine identical across the full workload suite"
+echo "==> smoke: compiled engine identical to the reference engine across the full workload suite"
 # The per-app report covers measured overhead, checkpoint traffic, and
 # region selection for all 23 workloads: any divergence between engines
 # in counting, checkpointing, or profiling shows up as a report diff.
-"$tmp/encore" -engine fast > "$tmp/report-fast.txt"
-"$tmp/encore" -engine closure > "$tmp/report-closure.txt"
-cmp -s "$tmp/report-fast.txt" "$tmp/report-closure.txt" || {
-	echo "encore: closure engine report differs from fast engine:" >&2
-	diff "$tmp/report-fast.txt" "$tmp/report-closure.txt" >&2 || true
+"$tmp/encore" -engine ref > "$tmp/report-ref.txt"
+"$tmp/encore" > "$tmp/report-default.txt"
+cmp -s "$tmp/report-ref.txt" "$tmp/report-default.txt" || {
+	echo "encore: default (compiled) engine report differs from -engine ref:" >&2
+	diff "$tmp/report-ref.txt" "$tmp/report-default.txt" >&2 || true
 	exit 1
 }
 
-echo "==> smoke: closure engine reproduces the SFI trial ledger byte for byte"
-"$tmp/encore-sfi" -app rawcaudio -trials 5 -engine closure -trace "$tmp/trace-closure.jsonl" > /dev/null
-cmp -s "$tmp/trace.jsonl" "$tmp/trace-closure.jsonl" || { echo "encore-sfi -engine closure: trial ledger differs from fast engine" >&2; exit 1; }
+echo "==> smoke: reference engine reproduces the SFI trial ledger byte for byte"
+"$tmp/encore-sfi" -app rawcaudio -trials 5 -engine ref -trace "$tmp/trace-ref.jsonl" > /dev/null
+cmp -s "$tmp/trace.jsonl" "$tmp/trace-ref.jsonl" || { echo "encore-sfi -engine ref: trial ledger differs from the default engine" >&2; exit 1; }
 
 echo "==> smoke: checkpoint-ladder ledger byte-identical to full-replay"
 # Fork-from-checkpoint trials restore a golden-run snapshot instead of
@@ -149,9 +150,9 @@ echo "==> smoke: encore-sfi -stats byte-identical across workers and engines"
 # the execution engine — only on the (workload, config, seed) prefix.
 "$tmp/encore-sfi" -app rawcaudio -trials 12 -workers 1 -stats "$tmp/stats-w1.json" > /dev/null
 "$tmp/encore-sfi" -app rawcaudio -trials 12 -workers 4 -stats "$tmp/stats-w4.json" > /dev/null
-"$tmp/encore-sfi" -app rawcaudio -trials 12 -workers 4 -engine closure -stats "$tmp/stats-closure.json" > /dev/null
+"$tmp/encore-sfi" -app rawcaudio -trials 12 -workers 4 -engine ref -stats "$tmp/stats-ref.json" > /dev/null
 cmp -s "$tmp/stats-w1.json" "$tmp/stats-w4.json" || { echo "encore-sfi -stats: differs between -workers 1 and 4" >&2; exit 1; }
-cmp -s "$tmp/stats-w1.json" "$tmp/stats-closure.json" || { echo "encore-sfi -stats: differs between fast and closure engines" >&2; exit 1; }
+cmp -s "$tmp/stats-w1.json" "$tmp/stats-ref.json" || { echo "encore-sfi -stats: differs between the default and reference engines" >&2; exit 1; }
 grep -q '"worst_ci_half_width"' "$tmp/stats-w1.json" || { echo "encore-sfi -stats: no worst_ci_half_width field" >&2; exit 1; }
 
 echo "==> smoke: 3-shard merged ledger+stats byte-identical to single process"
