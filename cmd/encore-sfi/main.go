@@ -20,13 +20,16 @@
 // golden run (interp.RunWithSnapshots); each trial then restores the
 // deepest snapshot strictly before its injection point and replays only
 // the short delta, instead of re-executing the whole golden prefix from
-// instruction zero. Outcomes, ledgers, and stats are byte-identical at
-// any k (0 disables forking); the knob only moves trial throughput.
+// instruction zero, and ends at the first later snapshot where its state
+// rejoins the golden run (golden convergence, interp.Machine.ConvergeOn).
+// Outcomes, ledgers, and stats are byte-identical at any k (0 disables
+// forking and convergence); the knob only moves trial throughput.
 //
 // -progress emits a rate-limited trial counter to stderr while a campaign
 // runs; each line carries the worst-region confidence interval — the
 // widest Wilson-score half-width on any selected region's recovery rate
-// — so convergence is visible live. -metrics writes the observability
+// — so convergence is visible live, plus the forked trials and the share
+// of trials that ended early on rejoining the golden run. -metrics writes the observability
 // snapshot (compile spans, SFI outcome counters, worker throughput; see
 // DESIGN.md §9) as JSON to the given file, or to stdout for "-"; -prom
 // writes the same snapshot in Prometheus text exposition format.
@@ -285,12 +288,17 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 		}
 		if prog != nil {
 			// The note pairs the estimator's convergence signal with this
-			// campaign's fork-from-checkpoint savings. The registry's
-			// sfi.restore.* counters are cumulative across campaigns,
+			// campaign's fork-from-checkpoint savings and the share of its
+			// trials that ended early on rejoining the golden run. The
+			// registry's sfi.* counters are cumulative across campaigns,
 			// hence the per-campaign baselines.
 			restores := reg.Counter("sfi.restore.count")
 			saved := reg.Counter("sfi.restore.saved_instrs")
+			ran := reg.Counter("sfi.trials")
+			conv := reg.Counter("sfi.converge.count")
+			convSaved := reg.Counter("sfi.converge.saved_instrs")
 			baseRestores, baseSaved := restores.Value(), saved.Value()
+			baseRan, baseConv, baseConvSaved := ran.Value(), conv.Value(), convSaved.Value()
 			prog.SetNote(func() string {
 				var parts []string
 				if est != nil {
@@ -301,6 +309,10 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 				if n := restores.Value() - baseRestores; n > 0 {
 					parts = append(parts, fmt.Sprintf("forked %d (saved %dM instr)",
 						n, (saved.Value()-baseSaved)/1e6))
+				}
+				if n := conv.Value() - baseConv; n > 0 {
+					parts = append(parts, fmt.Sprintf("converged %.0f%% (saved %dM instr)",
+						100*float64(n)/float64(ran.Value()-baseRan), (convSaved.Value()-baseConvSaved)/1e6))
 				}
 				return strings.Join(parts, ", ")
 			})

@@ -137,7 +137,7 @@ func TestRoundTripRealCampaign(t *testing.T) {
 	var buf bytes.Buffer
 	camp, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, sfi.CampaignConfig{
 		Trials: 80, Seed: 3, Dmax: 100, App: "g721encode",
-		Regions: regions, Trace: obs.NewJSONLSink(&buf),
+		Regions: regions, Trace: obs.NewJSONLSink(&buf), Ledger: true,
 	})
 	if err != nil {
 		t.Fatal(err)

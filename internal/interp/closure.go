@@ -12,8 +12,9 @@ import (
 // within a basic block so the hot path is a straight run of closure
 // calls — no opcode switch, no per-instruction counter updates, no
 // per-instruction stop checks. Block and frame transfers go through a
-// trampoline (cvm.next) so the Go stack never grows with the interpreted
-// program's control flow.
+// trampoline (the loop in loopCompiledFrom, fed the next pc through
+// cvm.nextPC) so the Go stack never grows with the interpreted program's
+// control flow.
 //
 // Instruction accounting is block-batched. A block's total cost is
 // pre-added when execution (re-)enters it, so during the chain
@@ -25,20 +26,22 @@ import (
 // constant per pc) to recover the exact value. The same pre-add doubles
 // as the stop check: a stop event at count S (see nextStop) lies inside
 // a segment entered at count c with total cost C (terminator cost 1
-// included) iff c + C > S. The re-entry steps test exactly that and hand
-// the segment to the reference loop, whose per-instruction checks fire
-// the event at the precise instruction — so fault windows, scheduled
-// detections, budget traps and checkpoint captures are bit-identical to
-// a run on the reference loop alone. The reference loop hands control
-// back as soon as the event has fired and the segment it stands in fits
-// below the next stop (ref.go).
+// included) iff c + C > S. The trampoline tests exactly that at every
+// block (re-)entry and hands the segment to the reference loop, whose
+// per-instruction checks fire the event at the precise instruction — so
+// fault windows, scheduled detections, budget traps and checkpoint
+// captures are bit-identical to a run on the reference loop alone, and a
+// convergence check (converge.go) sees the state at its exact count.
+// The reference loop hands control back as soon as the event has fired
+// and the segment it stands in fits below the next stop (ref.go).
 //
 // Two compiled variants exist per Program — plain and profiled (the
 // profiled one bumps the dense block/edge counters at terminator
 // retire) — built lazily and shared by every machine using the Program,
 // including concurrent SFI pool workers: compiled steps capture only
-// immutable decode-time data (operand indices, region IDs, continuation
-// pointers) and reach all mutable state through the per-run cvm.
+// immutable decode-time data (operand indices, region IDs, in-block
+// successors, target pcs) and reach all mutable state through the
+// per-run cvm.
 
 // step is one compiled instruction. regs is threaded through the chain
 // as an argument (rather than re-loaded from the cvm) so the register
@@ -50,14 +53,12 @@ type cprog struct {
 	// steps[pc] runs the instruction at pc and tail-continues into its
 	// block successor, assuming its cost was already pre-added.
 	steps []step
-	// resume[pc] is the re-entry point used by block transfers, call and
-	// return edges, and loopCompiledFrom: it performs the segment stop
-	// check, pre-adds cost[pc], then runs steps[pc].
-	resume []step
 	// cost[pc] is the Count cost of pc through its block's terminator,
-	// inclusive: the amount resume[pc] pre-adds and tests against the
-	// stop, which the reference loop's hand-back test mirrors.
-	cost []int64
+	// inclusive: the amount the trampoline pre-adds and tests against the
+	// stop when a block transfer, call or return edge (re-)enters pc,
+	// which the reference loop's hand-back test mirrors. ovh[pc] is its
+	// overhead share.
+	cost, ovh []int64
 }
 
 // Compiled-engine exit reasons (cvm.exit).
@@ -86,9 +87,9 @@ type cvm struct {
 	sLo, sHi  int64
 	stackBase int64
 
-	regs []int64 // current frame's registers (mirror of the chain argument)
-	fp   int64   // current frame's frame pointer, for OpFrame
-	next step    // trampoline slot: block/frame transfers park the next step here
+	regs   []int64 // current frame's registers (mirror of the chain argument)
+	fp     int64   // current frame's frame pointer, for OpFrame
+	nextPC int32   // trampoline slot: block/frame transfers park the next pc here
 
 	// Dense profiling counters (aliases of Machine.pBlocks/pEdges),
 	// bumped by the profiled variant's terminator steps.
@@ -99,6 +100,7 @@ type cvm struct {
 	delegPC   int32
 	retVal    int64
 	err       error
+	busy      bool // a segment is running on this cvm (see loopCompiledFrom)
 }
 
 // stepCost returns one decoded instruction's (Count, overhead) cost,
@@ -121,49 +123,21 @@ func stepCost(op uint8) (count, ovh int64) {
 // counters.
 func compileClosures(p *Program, profiled bool) *cprog {
 	n := len(p.code)
-	cp := &cprog{steps: make([]step, n), resume: make([]step, n), cost: make([]int64, n)}
-
-	// resumeOvh[pc] is the overhead share of cost[pc].
-	resumeCost := cp.cost
-	resumeOvh := make([]int64, n)
+	cp := &cprog{steps: make([]step, n), cost: make([]int64, n), ovh: make([]int64, n)}
+	// Instruction steps, compiled back-to-front within each block so
+	// every step captures its in-block successor and the block-tail costs
+	// accumulate as the walk goes.
 	for _, b := range p.blocks {
 		base := p.blockPC[b]
 		term := base + int32(len(b.Instrs))
+		var next step
 		var rc, ro int64
 		for pc := term; pc >= base; pc-- {
 			c, o := stepCost(p.code[pc].op)
 			rc += c
 			ro += o
-			resumeCost[pc], resumeOvh[pc] = rc, ro
-		}
-	}
-
-	// Pass 1: re-entry steps. Built first so terminator and call steps
-	// can capture their target's resume step directly; the inner
-	// steps[pc] lookup happens at run time, after pass 2 fills it in.
-	for pc := 0; pc < n; pc++ {
-		pcv := int32(pc)
-		rc, ro := resumeCost[pc], resumeOvh[pc]
-		cp.resume[pc] = func(v *cvm, _ []int64) {
-			if v.count+rc > v.stop {
-				v.exit = exitDelegate
-				v.delegPC = pcv
-				return
-			}
-			v.count += rc
-			v.ovh += ro
-			cp.steps[pcv](v, v.regs)
-		}
-	}
-
-	// Pass 2: instruction steps, compiled back-to-front within each
-	// block so every step captures its in-block successor.
-	for _, b := range p.blocks {
-		base := p.blockPC[b]
-		term := base + int32(len(b.Instrs))
-		var next step
-		for pc := term; pc >= base; pc-- {
-			s := compileStep(p, cp, pc, next, resumeCost[pc], resumeOvh[pc], profiled)
+			cp.cost[pc], cp.ovh[pc] = rc, ro
+			s := compileStep(p, pc, next, rc, ro, profiled)
 			cp.steps[pc] = s
 			next = s
 		}
@@ -191,9 +165,9 @@ func (v *cvm) oob(pc int32, adjC, adjO int64, what string, addr int64) {
 
 // compileStep compiles the instruction at pc. next is its in-block
 // successor (nil only for terminators, which never use it); rc/ro are
-// resumeCost[pc]/resumeOvh[pc], from which the exact-counter
-// adjustments are derived at compile time.
-func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profiled bool) step {
+// cost[pc]/ovh[pc], from which the exact-counter adjustments are derived
+// at compile time.
+func compileStep(p *Program, pc int32, next step, rc, ro int64, profiled bool) step {
 	in := p.code[pc]
 	switch in.op {
 	case uint8(ir.OpConst):
@@ -384,15 +358,12 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 	case uint8(ir.OpCall):
 		c := p.calls[in.aux]
 		fn, args, dst := c.fn, c.args, c.dst
-		var entryStep step
-		if c.entry >= 0 {
-			entryStep = cp.resume[c.entry]
-		}
+		entry := c.entry
 		retPC := pc + 1
 		adjC, adjO := rc-1, ro
 		return func(v *cvm, regs []int64) {
 			// Make the counters exact across the call: the pre-added tail
-			// of the caller's block is re-added by resume[retPC] on return,
+			// of the caller's block is re-added when the return re-enters retPC,
 			// so nested frames never see inflated counts at their own sync
 			// points (SetRecovery, externs, traps).
 			v.count -= adjC
@@ -411,10 +382,10 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 			}
 			v.regs = nf.regs
 			v.fp = nf.fp
-			if entryStep == nil {
+			if entry < 0 {
 				panic("interp: compiled engine: call to function without body")
 			}
-			v.next = entryStep
+			v.nextPC = entry
 		}
 	case uint8(ir.OpExtern):
 		aux, dst := in.aux, in.dst
@@ -577,47 +548,42 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 		}
 
 	case dJmp:
-		tstep := cp.resume[in.aux]
+		target := in.aux
 		if profiled {
 			blk, eb := in.dst, in.b
 			return func(v *cvm, _ []int64) {
 				v.pBlocks[blk]++
 				v.pEdges[eb]++
-				v.next = tstep
+				v.nextPC = target
 			}
 		}
-		return func(v *cvm, _ []int64) { v.next = tstep }
+		return func(v *cvm, _ []int64) { v.nextPC = target }
 	case dBr:
 		cond := in.a
-		thenStep := cp.resume[in.aux]
-		elseStep := cp.resume[int32(in.imm)]
+		thenPC, elsePC := in.aux, int32(in.imm)
 		if profiled {
 			blk, eb := in.dst, in.b
 			return func(v *cvm, regs []int64) {
 				v.pBlocks[blk]++
 				if regs[cond] != 0 {
 					v.pEdges[eb]++
-					v.next = thenStep
+					v.nextPC = thenPC
 				} else {
 					v.pEdges[eb+1]++
-					v.next = elseStep
+					v.nextPC = elsePC
 				}
 			}
 		}
 		return func(v *cvm, regs []int64) {
 			if regs[cond] != 0 {
-				v.next = thenStep
+				v.nextPC = thenPC
 			} else {
-				v.next = elseStep
+				v.nextPC = elsePC
 			}
 		}
 	case dSwitch:
 		cond := in.a
-		tbl := p.switches[in.aux]
-		targets := make([]step, len(tbl))
-		for i, t := range tbl {
-			targets[i] = cp.resume[t]
-		}
+		targets := p.switches[in.aux]
 		if profiled {
 			blk := in.dst
 			eb := int64(in.b)
@@ -631,7 +597,7 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 				}
 				v.pBlocks[blk]++
 				v.pEdges[eb+i]++
-				v.next = targets[i]
+				v.nextPC = targets[i]
 			}
 		}
 		return func(v *cvm, regs []int64) {
@@ -642,7 +608,7 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 			if i >= int64(len(targets)) {
 				i = int64(len(targets)) - 1
 			}
-			v.next = targets[i]
+			v.nextPC = targets[i]
 		}
 	case dRet:
 		val := in.a
@@ -667,7 +633,7 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 				}
 				v.regs = fr.regs
 				v.fp = fr.fp
-				v.next = cp.resume[fr.retPC]
+				v.nextPC = fr.retPC
 			}
 		}
 		return func(v *cvm, regs []int64) {
@@ -688,7 +654,7 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 			}
 			v.regs = fr.regs
 			v.fp = fr.fp
-			v.next = cp.resume[fr.retPC]
+			v.nextPC = fr.retPC
 		}
 	default:
 		op, pcv := in.op, pc
@@ -721,7 +687,8 @@ func (m *Machine) loopCompiled() (int64, error) {
 // post-instruction output corruption of the first instruction retiring
 // at InjectAt; after injection it is the scheduled detection point — a
 // settled fault has no pending events), and tightened again to the next
-// checkpoint-capture rung when a RunWithSnapshots pass is active.
+// checkpoint-capture rung when a RunWithSnapshots pass is active, and to
+// the next convergence check of a run armed with ConvergeOn.
 func (m *Machine) nextStop() int64 {
 	stop := m.Cfg.MaxInstrs
 	if m.fault != nil {
@@ -739,13 +706,18 @@ func (m *Machine) nextStop() int64 {
 	if len(m.snapRungs) > 0 && m.snapRungs[0] < stop {
 		stop = m.snapRungs[0]
 	}
+	if m.conv.armed && m.conv.stop < stop {
+		stop = m.conv.stop
+	}
 	return stop
 }
 
 // loopCompiledFrom runs the compiled engine from an arbitrary pc with an
 // explicit base frame depth — the entry point both for fresh calls and
 // for the reference loop handing control back. A checkpoint rung the run
-// has reached is captured first. Any block holding a stop event (fault
+// has reached is captured first, and a run armed with ConvergeOn that has
+// reached its next convergence check ends here if its state matches the
+// golden rung (converge.go). Any block holding a stop event (fault
 // window, scheduled detection, budget exhaustion, capture rung) is handed
 // to the reference loop, whose per-instruction checks handle the event
 // at the exact instruction and which hands control back once the event
@@ -759,8 +731,23 @@ func (m *Machine) loopCompiledFrom(baseDepth int, pc int32) (int64, error) {
 		m.mergeDense(p)
 		m.captureSnapshot(pc)
 	}
+	if m.conv.armed && m.Count >= m.conv.stop && m.converge(pc) {
+		return m.conv.lad.ret, nil
+	}
 	fr := &m.frames[len(m.frames)-1]
-	v := &cvm{
+	// The machine keeps one cvm for its segments: a segment has ended
+	// before it hands off below (and the handoff may re-enter here), so
+	// only a custom extern re-entering Call mid-segment finds it busy and
+	// takes a fresh one.
+	v := m.cv
+	if v == nil || v.busy {
+		v = new(cvm)
+		if m.cv == nil {
+			m.cv = v
+		}
+	}
+	*v = cvm{
+		busy:      true,
 		m:         m,
 		mem:       m.Mem,
 		count:     m.Count,
@@ -777,11 +764,19 @@ func (m *Machine) loopCompiledFrom(baseDepth int, pc int32) (int64, error) {
 		pEdges:    m.pEdges,
 		baseDepth: baseDepth,
 	}
-	v.next = cp.resume[pc]
-	for v.next != nil {
-		s := v.next
-		v.next = nil
-		s(v, v.regs)
+	// The trampoline: every block transfer, call and return edge parks
+	// its target pc and returns here; re-entering pc pre-adds the cost of
+	// its block tail, unless that crosses the stop.
+	for v.nextPC = pc; v.exit == exitRun; {
+		pc := v.nextPC
+		if v.count+cp.cost[pc] > v.stop {
+			v.exit = exitDelegate
+			v.delegPC = pc
+			break
+		}
+		v.count += cp.cost[pc]
+		v.ovh += cp.ovh[pc]
+		cp.steps[pc](v, v.regs)
 	}
 	// Write the shadow counters back and fold the dense profile counters
 	// into the Profile maps: the machine fields are authoritative again.
@@ -789,6 +784,7 @@ func (m *Machine) loopCompiledFrom(baseDepth int, pc int32) (int64, error) {
 	m.dirtyLo, m.dirtyHi = v.dLo, v.dHi
 	m.dirtyStkLo, m.dirtyStkHi = v.sLo, v.sHi
 	m.mergeDense(p)
+	v.busy = false
 	switch v.exit {
 	case exitDone:
 		return v.retVal, nil

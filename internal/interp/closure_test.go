@@ -150,3 +150,52 @@ func TestClosureResetRerun(t *testing.T) {
 		mach.Reset()
 	}
 }
+
+// TestClosureExternReentersCall: a custom extern that re-enters Call runs
+// a nested compiled segment while the outer one is still live (the
+// machine's reusable segment state is busy), and the run must match the
+// reference loop's result and counters.
+func TestClosureExternReentersCall(t *testing.T) {
+	mod := ir.NewModule("t")
+	sq := mod.NewFunc("sq", 1)
+	sb := sq.NewBlock("entry")
+	x, y := ir.Reg(0), sq.NewReg()
+	for i := 0; i < 4; i++ {
+		sb.AddI(x, x, 1)
+	}
+	sb.Mul(y, x, x)
+	sb.Ret(y)
+	sq.Recompute()
+	f := mod.NewFunc("main", 0)
+	b, tail := f.NewBlock("entry"), f.NewBlock("tail")
+	a, r, s := f.NewReg(), f.NewReg(), f.NewReg()
+	b.Const(a, 3)
+	b.CallExtern(r, "reenter", a)
+	b.Add(s, r, a)
+	b.Jmp(tail) // the outer segment goes on past a block transfer
+	tail.CallExtern(r, "reenter", s)
+	tail.Add(s, s, r)
+	tail.Ret(s)
+	f.Recompute()
+	externs := map[string]ExternFunc{"reenter": func(m *Machine, args []int64) int64 {
+		v, err := m.Call(sq, args[0])
+		if err != nil {
+			t.Errorf("nested call: %v", err)
+		}
+		return v
+	}}
+	ref := New(mod, Config{Engine: EngineRef, Externs: externs})
+	want, err := ref.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp := New(mod, Config{Externs: externs})
+	for i := 0; i < 2; i++ {
+		got, err := comp.Run()
+		if err != nil || got != want || comp.Count != ref.Count || comp.BaseCount != ref.BaseCount {
+			t.Fatalf("run %d: compiled (%d, %v, count %d/%d) vs ref (%d, count %d/%d)",
+				i, got, err, comp.Count, comp.BaseCount, want, ref.Count, ref.BaseCount)
+		}
+		comp.Reset()
+	}
+}

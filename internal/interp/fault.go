@@ -223,5 +223,8 @@ func (m *Machine) detect() (*ir.Block, int, bool) {
 	f.report.TargetRegion = target.meta.ID
 	f.report.SameInstance = f.injected && target.instance == f.report.Site.Instance
 	f.report.RollbackDistance = m.Count - target.entryCount
+	if m.conv.lad != nil {
+		m.armConvergence(target)
+	}
 	return target.meta.Recovery, 0, true
 }

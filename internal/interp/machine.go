@@ -201,6 +201,7 @@ type Machine struct {
 	instanceSeq int64
 
 	fault *faultState
+	conv  convState // golden-convergence early exit (converge.go)
 
 	output []int64 // values emitted via the "emit" extern
 
@@ -255,6 +256,8 @@ type Machine struct {
 	HandoffsToRef, HandoffsToCompiled int64
 
 	obsSink *obsSink
+
+	cv *cvm // compiled-engine segment state, reused across segments (closure.go)
 
 	regionFree []*regionState // recycled checkpoint buffers
 }
@@ -501,6 +504,7 @@ func (m *Machine) Reset() {
 	m.sp = m.Cfg.MemWords - m.Cfg.StackWords
 	m.stackTop = m.Cfg.MemWords
 	m.fault = nil
+	m.conv = convState{}
 	m.output = m.output[:0]
 	if m.Cfg.Profile {
 		m.Prof = &Profile{Block: map[*ir.Block]int64{}, Edge: map[*ir.Block][]int64{}}

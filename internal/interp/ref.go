@@ -347,14 +347,18 @@ func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int) (int64, error
 // (b, idx). The reference loop keeps control while an armed fault awaits
 // injection or has its detection due; otherwise it owns only the stop
 // event the compiled engine handed it, and hands back as soon as a
-// capture rung has been reached (the compiled engine takes the
-// snapshot) or the rest of the block fits below the next stop, so the
-// compiled engine's re-entry check passes.
+// capture rung or convergence check has been reached (the compiled
+// engine takes the snapshot or compares the state) or the rest of the
+// block fits below the next stop, so the compiled engine's re-entry
+// check passes.
 func (m *Machine) mayHandBack(b *ir.Block, idx int) bool {
 	if f := m.fault; f != nil && (!f.injected || !f.detected && m.Count >= f.detectAt) {
 		return false
 	}
 	if len(m.snapRungs) > 0 && m.Count >= m.snapRungs[0] {
+		return true
+	}
+	if m.conv.armed && m.Count >= m.conv.stop {
 		return true
 	}
 	p := m.program()

@@ -84,6 +84,7 @@ func (s *Snapshot) Count() int64 { return s.count }
 type Ladder struct {
 	snaps []*Snapshot
 	total int64
+	ret   int64 // the run's result, returned by a converged run
 }
 
 // Len reports how many snapshots the ladder holds.
@@ -217,7 +218,7 @@ func (m *Machine) RunWithSnapshots(rungs []int64) (int64, *Ladder, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	lad.total = m.Count
+	lad.total, lad.ret = m.Count, ret
 	return ret, lad, nil
 }
 
@@ -415,6 +416,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.obsBias.ckptReg, m.obsBias.ckptMem = s.ckptRegBytes, s.ckptMemBytes
 	m.obsBias.regionEntries = s.regionEntries
 	m.fault = nil
+	m.conv = convState{}
 	m.output = append(m.output[:0], s.output...)
 	if m.Cfg.Profile {
 		prof := &Profile{
@@ -452,7 +454,9 @@ func (m *Machine) LastRestoreWords() int64 { return m.lastRestoreWords }
 // (which still hands the block holding a pending fault event to the
 // reference loop). An InjectFault between Restore and Resume is the
 // fork-from-snapshot trial pattern: the fault plan's InjectAt must lie
-// beyond the snapshot's Count, which Ladder.Best guarantees.
+// beyond the snapshot's Count, which Ladder.Best guarantees. Resume runs
+// to completion unless ConvergeOn armed it to end where its state
+// rejoins the golden run.
 func (m *Machine) Resume() (int64, error) {
 	if !m.resumeReady {
 		return 0, fmt.Errorf("interp: Resume without a preceding Restore")

@@ -408,7 +408,10 @@ func diffFaultedEngines(p Params, res *core.Result) error {
 // ladder captured during the instrumented golden run, restored onto a
 // machine of each engine, must resume into exactly the from-scratch
 // trajectory — fault-free from every rung, and with the same fault
-// reports when a trial is armed after the restore. This locks the
+// reports when a trial is armed after the restore, also when the trial is
+// armed to converge on the ladder (interp.Machine.ConvergeOn): a fork that
+// converges must report the full trial's result, final count and fault
+// report, and the full trial must end in the golden state. This locks the
 // invariant the SFI campaign scheduler builds on.
 func diffSnapshotRestore(p Params, res *core.Result) error {
 	capm := interp.New(res.Mod, interp.Config{MaxInstrs: oracleBudget})
@@ -425,6 +428,7 @@ func diffSnapshotRestore(p Params, res *core.Result) error {
 	if err != nil {
 		return &Counterexample{Oracle: "snapshot", Params: p, Detail: err.Error(), IR: res.Mod.String()}
 	}
+	gsum := capm.Checksum(res.Mod.Globals...)
 
 	for _, e := range []interp.Engine{interp.EngineRef, interp.EngineCompiled} {
 		fail := func(detail string) error {
@@ -494,6 +498,31 @@ func diffSnapshotRestore(p Params, res *core.Result) error {
 			}
 			if ts, rs := full.Checksum(res.Mod.Globals...), fork.Checksum(res.Mod.Globals...); ts != rs {
 				return fail(fmt.Sprintf("inject@%d checksum: full=%#x fork=%#x", at, ts, rs))
+			}
+
+			// Convergence leg: the same fork armed to converge on the ladder.
+			if err := fork.Restore(snap); err != nil {
+				return fail(fmt.Sprintf("restore for converging inject@%d: %v", at, err))
+			}
+			fork.InjectFault(plan)
+			fork.ConvergeOn(lad)
+			cret, cerr := fork.Resume()
+			if cerr != nil {
+				return fail(fmt.Sprintf("converging inject@%d: error %v, full run none", at, cerr))
+			}
+			if tr, cr := full.FaultReport(), fork.FaultReport(); tr != cr {
+				return fail(fmt.Sprintf("converging inject@%d fault reports diverge:\nfull: %+v\nfork: %+v", at, tr, cr))
+			}
+			final, csum := fork.Count, fork.Checksum(res.Mod.Globals...)
+			if cv := fork.ConvergeReport(); cv.Converged {
+				final, csum = cv.Final, gsum
+			}
+			if cret != tret || final != full.Count {
+				return fail(fmt.Sprintf("converging inject@%d: ret %d/%d final count %d/%d",
+					at, cret, tret, final, full.Count))
+			}
+			if ts := full.Checksum(res.Mod.Globals...); ts != csum {
+				return fail(fmt.Sprintf("converging inject@%d checksum: full=%#x fork=%#x", at, ts, csum))
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"compress/flate"
 	"context"
 	"encoding/json"
 	"errors"
@@ -35,7 +37,9 @@ const (
 // the streaming seam — sfi.RunCampaign's JSONL sink writes encoded
 // records into it (one Write per record, in trial order), and any number
 // of ledger followers replay the chunks concurrently, waking on the cond
-// as the completed prefix grows.
+// as the completed prefix grows. Once the campaign settles, the chunks
+// are packed into one flate-compressed ledger (about a sixth of the
+// size), since the daemon keeps every settled campaign.
 type campaign struct {
 	id      string
 	tenant  string
@@ -57,6 +61,10 @@ type campaign struct {
 	result *sfi.CampaignResult
 	chunks [][]byte
 	closed bool // no more chunks will arrive; followers can finish
+	// packed is the settled ledger, flate-compressed, replacing chunks;
+	// records counts the ledger's lines either way.
+	packed  []byte
+	records int
 }
 
 func newCampaign(id, tenant string, spec campaignSpec) *campaign {
@@ -79,9 +87,33 @@ func (c *campaign) Write(p []byte) (int, error) {
 	copy(b, p)
 	c.mu.Lock()
 	c.chunks = append(c.chunks, b)
+	c.records++
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	return len(p), nil
+}
+
+// flaters and inflaters recycle ledger compressors and decompressors: a
+// flate.Writer carries several hundred KiB of tables and a reader a
+// 32 KiB window, far more than one settled ledger.
+var flaters, inflaters sync.Pool
+
+// pack compresses the concatenated chunks into one flate stream.
+func pack(chunks [][]byte) []byte {
+	var buf bytes.Buffer
+	fw, _ := flaters.Get().(*flate.Writer)
+	if fw == nil {
+		// BestSpeed cannot fail: NewWriter errors only on a bad level.
+		fw, _ = flate.NewWriter(&buf, flate.BestSpeed)
+	} else {
+		fw.Reset(&buf)
+	}
+	for _, ch := range chunks {
+		fw.Write(ch) // writes to a bytes.Buffer cannot fail
+	}
+	fw.Close()
+	flaters.Put(fw)
+	return bytes.Clone(buf.Bytes())
 }
 
 // finishRun settles the campaign's terminal state from its runner's
@@ -92,8 +124,15 @@ func (c *campaign) finishRun(res *sfi.CampaignResult, err error) {
 	if res != nil {
 		res.Records = nil
 	}
+	// The runner has returned, so no chunk arrives any more: compress
+	// them outside the lock and swap the packed ledger in below.
+	c.mu.Lock()
+	chunks := c.chunks
+	c.mu.Unlock()
+	packed := pack(chunks)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.packed, c.chunks = packed, nil
 	c.result = res
 	switch {
 	case err == nil:
@@ -127,7 +166,7 @@ func (c *campaign) status() CampaignStatus {
 		Engine: c.spec.ccfg.Interp.Engine.String(),
 		Error:  c.errMsg,
 	}
-	if n := len(c.chunks) - 1; n > 0 { // first chunk is the header record
+	if n := c.records - 1; n > 0 { // the first line is the header record
 		st.LedgerRecords = n
 	}
 	if c.result != nil {
@@ -139,9 +178,11 @@ func (c *campaign) status() CampaignStatus {
 // follow streams the ledger to w from the beginning: already-buffered
 // chunks replay immediately, then the follower blocks on the cond until
 // new records arrive or the campaign settles. Each burst is flushed so
-// chunked HTTP responses deliver records incrementally. Returns when the
-// ledger is complete (campaign settled and every chunk written) or ctx
-// is canceled (client went away).
+// chunked HTTP responses deliver records incrementally. Once the campaign
+// has settled the follower writes the rest of the packed ledger, past
+// the bytes it already wrote. Returns when the ledger is complete
+// (campaign settled and every byte written) or ctx is canceled (client
+// went away).
 func (c *campaign) follow(ctx context.Context, w io.Writer) {
 	flusher, _ := w.(http.Flusher)
 	stop := context.AfterFunc(ctx, func() {
@@ -150,11 +191,29 @@ func (c *campaign) follow(ctx context.Context, w io.Writer) {
 		c.mu.Unlock()
 	})
 	defer stop()
-	next := 0
+	next, sent := 0, int64(0)
 	for {
 		c.mu.Lock()
 		for next >= len(c.chunks) && !c.closed && ctx.Err() == nil {
 			c.cond.Wait()
+		}
+		if packed := c.packed; packed != nil {
+			c.mu.Unlock()
+			r, _ := inflaters.Get().(io.ReadCloser)
+			if r == nil {
+				r = flate.NewReader(bytes.NewReader(packed))
+			} else {
+				// Resetting onto an in-memory stream cannot fail.
+				r.(flate.Resetter).Reset(bytes.NewReader(packed), nil)
+			}
+			if _, err := io.CopyN(io.Discard, r, sent); err == nil {
+				io.Copy(w, r) // the follower is done either way
+			}
+			inflaters.Put(r)
+			if flusher != nil {
+				flusher.Flush()
+			}
+			return
 		}
 		burst := c.chunks[next:]
 		next = len(c.chunks)
@@ -164,6 +223,7 @@ func (c *campaign) follow(ctx context.Context, w io.Writer) {
 			if _, err := w.Write(chunk); err != nil {
 				return
 			}
+			sent += int64(len(chunk))
 		}
 		if flusher != nil && len(burst) > 0 {
 			flusher.Flush()

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"encore/internal/obs"
@@ -277,5 +278,68 @@ entry#0:
 	if counters["serve.warm.misses"] != 2 || counters["serve.warm.hits"] != 1 || gauges["serve.warm.entries"] != 2 {
 		t.Fatalf("warm misses %d hits %d entries %d, want 2/1/2",
 			counters["serve.warm.misses"], counters["serve.warm.hits"], gauges["serve.warm.entries"])
+	}
+}
+
+// blockingWriter holds its first Write until release is closed, so a
+// test can settle a campaign while a ledger follower is mid-stream.
+type blockingWriter struct {
+	buf     bytes.Buffer
+	entered chan struct{}
+	release chan struct{}
+	writes  int
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	if w.writes == 0 {
+		close(w.entered)
+		<-w.release
+	}
+	w.writes++
+	return w.buf.Write(p)
+}
+
+// TestFollowAcrossPack: a settled campaign's ledger is packed, and a
+// follower that was mid-stream when it settled resumes from the packed
+// copy without losing or repeating a byte; a follower arriving after the
+// settle replays the packed ledger whole. The status line count survives
+// the packing.
+func TestFollowAcrossPack(t *testing.T) {
+	c := newCampaign("c1", "", campaignSpec{})
+	var want bytes.Buffer
+	write := func(i int) {
+		line := fmt.Sprintf("{\"line\":%d,\"pad\":%q}\n", i, strings.Repeat("x", i))
+		want.WriteString(line)
+		c.Write([]byte(line))
+	}
+	for i := 0; i < 3; i++ {
+		write(i)
+	}
+	w := &blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.follow(context.Background(), w)
+	}()
+	<-w.entered // the follower took the first burst and is writing it
+	for i := 3; i < 40; i++ {
+		write(i)
+	}
+	c.finishRun(&sfi.CampaignResult{}, nil)
+	if c.chunks != nil || c.packed == nil {
+		t.Fatal("settled campaign kept its chunks unpacked")
+	}
+	close(w.release)
+	<-done
+	if !bytes.Equal(w.buf.Bytes(), want.Bytes()) {
+		t.Fatalf("mid-stream follower got %d bytes, want %d", w.buf.Len(), want.Len())
+	}
+	var late bytes.Buffer
+	c.follow(context.Background(), &late)
+	if !bytes.Equal(late.Bytes(), want.Bytes()) {
+		t.Fatalf("late follower got %d bytes, want %d", late.Len(), want.Len())
+	}
+	if st := c.status(); st.LedgerRecords != 39 {
+		t.Fatalf("status reports %d ledger records, want 39", st.LedgerRecords)
 	}
 }

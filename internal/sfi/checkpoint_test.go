@@ -12,6 +12,7 @@ import (
 
 	"encore/internal/core"
 	"encore/internal/interp"
+	"encore/internal/obs"
 	"encore/internal/sfi"
 	"encore/internal/stats"
 	"encore/internal/workload"
@@ -173,5 +174,52 @@ func TestCheckpointValidation(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "exceed") {
 		t.Errorf("oversized checkpoints: got %v, want an exceeds-golden-run error", err)
+	}
+}
+
+// TestConvergedTrialsMatchFullRun locks golden convergence: with a
+// ladder, trials whose state rejoins the golden run end at that rung,
+// yet every record equals the one the reference engine writes running
+// each trial to completion without a ladder. At K=16 at least half of
+// 175.vpr's recovered trials must converge, so the early exit cannot
+// switch itself off unnoticed.
+func TestConvergedTrialsMatchFullRun(t *testing.T) {
+	for _, name := range []string{"rawcaudio", "175.vpr", "183.equake"} {
+		sp, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art := sp.Build()
+		res, err := core.Compile(art.Mod, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(eng interp.Engine, k int) (*sfi.CampaignResult, *obs.Registry) {
+			reg := obs.NewRegistry()
+			camp, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, sfi.CampaignConfig{
+				Trials: 150, Seed: 21, Dmax: 100, App: name, Engine: eng, Checkpoints: k,
+				Ledger: true, Obs: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return camp, reg
+		}
+		want, _ := run(interp.EngineRef, 0)
+		for _, k := range []int{4, 16} {
+			got, reg := run(interp.EngineCompiled, k)
+			for i := range want.Records {
+				if got.Records[i] != want.Records[i] {
+					t.Fatalf("%s ckpt%d trial %d:\n got %+v\nwant %+v", name, k, i, got.Records[i], want.Records[i])
+				}
+			}
+			conv := reg.Counter("sfi.converge.count").Value()
+			if conv == 0 || reg.Counter("sfi.converge.checks").Value() < conv {
+				t.Errorf("%s ckpt%d: %d trials converged in %d checks", name, k, conv, reg.Counter("sfi.converge.checks").Value())
+			}
+			if rec := int64(got.Counts[sfi.Recovered]); name == "175.vpr" && k == 16 && 2*conv < rec {
+				t.Errorf("175.vpr ckpt16: only %d of %d recovered trials converged", conv, rec)
+			}
+		}
 	}
 }

@@ -128,7 +128,7 @@ func runTraced(t *testing.T, workers int) []byte {
 	sink := obs.NewJSONLSink(&buf)
 	camp, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{
 		Trials: 40, Seed: 1, Dmax: 100, Workers: workers,
-		App: "rawcaudio", Regions: regions, Trace: sink,
+		App: "rawcaudio", Regions: regions, Trace: sink, Ledger: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,6 +194,46 @@ func TestTraceGoldenSchema(t *testing.T) {
 		if rec.Outcome == Recovered && (!rec.RolledBack || rec.RollbackDistance < 0) {
 			t.Fatalf("trial %d: recovered without a sane rollback: %+v", i, rec.TrialRecord)
 		}
+	}
+}
+
+// TestTraceOnlyRetainsNoRecords: a campaign that only streams its ledger
+// returns no Records, yet streams the very bytes a retaining campaign
+// does.
+func TestTraceOnlyRetainsNoRecords(t *testing.T) {
+	sp, err := workload.ByName("rawcaudio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := sp.Build()
+	res, err := core.Compile(art.Mod, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regions []RegionInfo
+	for _, rc := range res.RegionCoverages(100) {
+		regions = append(regions, RegionInfo{
+			ID: rc.ID, Fn: rc.Fn, Header: rc.Header, Class: rc.Class.String(),
+			Selected: rc.Selected, DynFrac: rc.DynFrac,
+			InstanceLen: rc.InstanceLen, Alpha: rc.Alpha,
+		})
+	}
+	var buf bytes.Buffer
+	camp, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{
+		Trials: 40, Seed: 1, Dmax: 100, Workers: 4,
+		App: "rawcaudio", Regions: regions, Trace: obs.NewJSONLSink(&buf),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if camp.Records != nil {
+		t.Fatalf("trace-only campaign retained %d records", len(camp.Records))
+	}
+	if camp.Meta == nil {
+		t.Fatal("trace-only campaign lost its header")
+	}
+	if !bytes.Equal(buf.Bytes(), runTraced(t, 1)) {
+		t.Error("trace-only ledger differs from the retaining campaign's")
 	}
 }
 

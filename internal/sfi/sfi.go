@@ -299,11 +299,15 @@ type CampaignConfig struct {
 	// completed prefix of the campaign grows — the stream is
 	// deterministic given Seed regardless of Workers or ShardSize, and
 	// its final bytes are identical to an end-of-campaign dump. The trial
-	// loop itself only fills a preallocated slice; emission happens on a
-	// separate lock so record IO never serializes the trial hot path.
+	// loop itself only parks each record until the prefix reaches it;
+	// emission happens on a separate lock so record IO never serializes
+	// the trial hot path. A streamed record is not kept: set Ledger to
+	// also get it in CampaignResult.Records.
 	Trace *obs.EventSink
-	// Ledger retains the per-trial records in CampaignResult.Records even
-	// when no Trace sink is attached (for in-process attribution).
+	// Ledger retains the per-trial records in CampaignResult.Records (for
+	// in-process attribution). Without it (or Stop) Records is nil, even
+	// when a Trace or Stats sink streams them, so a long streamed
+	// campaign holds only the records still waiting for their turn.
 	Ledger bool
 	// Stats, when non-nil, receives the campaign header and then every
 	// trial record in trial order (see StatsSink). Attaching a sink does
@@ -378,8 +382,9 @@ type CampaignResult struct {
 	SameInstance int
 
 	// Meta echoes the campaign's ledger header when the trial ledger was
-	// enabled (Trace sink or Ledger flag), and Records holds the
-	// per-trial entries in trial order.
+	// enabled (a Trace or Stats sink, Ledger, or Stop), and Records holds
+	// the per-trial entries in trial order when they were retained
+	// (Ledger or Stop).
 	Meta    *CampaignMeta
 	Records []TrialRecord
 }
@@ -423,10 +428,11 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 // Target is the campaign-invariant half of an injection campaign against
 // one instrumented module: the pre-decoded program, the golden run's
 // output checksum and dynamic instruction count, and the checkpoint
-// ladder. All of it is a deterministic function of (module, engine,
+// ladder, plus the adaptive region map once an adaptive campaign needed
+// it. All of it is a deterministic function of (module, engine,
 // checkpoint count), so one Target serves any number of campaigns —
-// concurrently, too: Run only reads it, and Restore only reads the
-// ladder's snapshots.
+// concurrently, too: Run only reads it (the region map is built once,
+// under a sync.Once), and Restore only reads the ladder's snapshots.
 type Target struct {
 	mod         *ir.Module
 	metas       []interp.RegionMeta
@@ -438,6 +444,10 @@ type Target struct {
 	golden uint64
 	total  int64
 	ladder *interp.Ladder
+
+	rmOnce sync.Once
+	rm     *trace.RegionMap
+	rmErr  error
 }
 
 // NewTarget pre-decodes mod, runs it once on engine to fix the golden
@@ -488,14 +498,27 @@ func NewTarget(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, eng
 
 // Run executes one campaign against the target (see RunCampaign), timed
 // as an "sfi/campaign" span whose "trials" child covers the trial loop
-// (and, for adaptive campaigns, whose "regionmap" child covers the hooked
-// run that predicts each trial's strike region). cfg.Engine and
+// (and, for the target's first adaptive campaign, whose "regionmap" child
+// covers the hooked run that predicts each trial's strike region; later
+// adaptive campaigns reuse that map). cfg.Engine and
 // cfg.Checkpoints must equal the values the target was built with; a
 // mismatch is an error rather than a silent rebuild.
 func (tg *Target) Run(cfg CampaignConfig) (*CampaignResult, error) {
 	sp := obs.Or(cfg.Obs).Span("sfi/campaign")
 	defer sp.End()
 	return tg.run(cfg, sp)
+}
+
+// regionMap returns the target's strike-region prediction map, recording
+// it on first use under a "regionmap" child of sp: the map depends only
+// on the module, so every adaptive campaign on the target shares it.
+func (tg *Target) regionMap(sp *obs.Span) (*trace.RegionMap, error) {
+	tg.rmOnce.Do(func() {
+		rsp := sp.Child("regionmap")
+		tg.rm, tg.rmErr = trace.RecordRegionMap(tg.mod, tg.metas, tg.prog)
+		rsp.End()
+	})
+	return tg.rm, tg.rmErr
 }
 
 // machines returns a fresh machine set over the target's module,
@@ -560,15 +583,24 @@ func (tg *Target) run(cfg CampaignConfig, sp *obs.Span) (*CampaignResult, error)
 	if cfg.Shard != nil {
 		lo, hi = cfg.Shard.Lo, cfg.Shard.Hi
 	}
-	// Trial ledger: records are filled by trial index (not completion
-	// order) into a preallocated slice, so the emitted stream is
-	// deterministic given the seed regardless of worker interleaving.
+	// Trial ledger: records are filed by trial index (not completion
+	// order) — into a preallocated slice when they are retained, otherwise
+	// into pending until the emitter streams them — so the emitted stream
+	// is deterministic given the seed regardless of worker interleaving.
 	// Adaptive stopping implies retention: its round decisions fold the
 	// executed records.
-	ledger := cfg.Trace != nil || cfg.Ledger || cfg.Stats != nil || cfg.Stop != nil
-	var classOf map[int]string
+	keep := cfg.Ledger || cfg.Stop != nil
+	ledger := keep || cfg.Trace != nil || cfg.Stats != nil
+	var (
+		classOf map[int]string
+		pending map[int]TrialRecord
+	)
 	if ledger {
-		res.Records = make([]TrialRecord, cfg.Trials)
+		if keep {
+			res.Records = make([]TrialRecord, cfg.Trials)
+		} else {
+			pending = map[int]TrialRecord{}
+		}
 		classOf = make(map[int]string, len(cfg.Regions))
 		for _, ri := range cfg.Regions {
 			classOf[ri.ID] = ri.Class
@@ -609,9 +641,7 @@ func (tg *Target) run(cfg CampaignConfig, sp *obs.Span) (*CampaignResult, error)
 	// already-converged regions without executing them.
 	var stop *stopRun
 	if cfg.Stop != nil {
-		rsp := sp.Child("regionmap")
-		rm, err := trace.RecordRegionMap(tg.mod, tg.metas, tg.prog)
-		rsp.End()
+		rm, err := tg.regionMap(sp)
 		if err != nil {
 			return nil, fmt.Errorf("sfi: %w", err)
 		}
@@ -622,6 +652,7 @@ func (tg *Target) run(cfg CampaignConfig, sp *obs.Span) (*CampaignResult, error)
 		emitMu sync.Mutex
 		done   []bool
 		cursor = lo
+		batch  []TrialRecord // the emitter's drain buffer, guarded by emitMu
 	)
 	if cfg.Trace != nil || cfg.Stats != nil {
 		done = make([]bool, cfg.Trials)
@@ -637,19 +668,28 @@ func (tg *Target) run(cfg CampaignConfig, sp *obs.Span) (*CampaignResult, error)
 				ehi++
 			}
 			cursor = ehi
+			batch = batch[:0]
+			for t := elo; t < ehi; t++ {
+				switch {
+				case stop != nil && stop.skip[t]:
+					// Skipped trials leave no record anywhere.
+				case pending != nil:
+					batch = append(batch, pending[t])
+					delete(pending, t)
+				default:
+					batch = append(batch, res.Records[t])
+				}
+			}
 			mu.Unlock()
 			if ehi == elo {
 				return
 			}
-			for t := elo; t < ehi; t++ {
-				if stop != nil && stop.skip[t] {
-					continue // skipped trials leave no record anywhere
-				}
+			for i := range batch {
 				if cfg.Stats != nil {
-					cfg.Stats.ObserveTrial(res.Records[t])
+					cfg.Stats.ObserveTrial(batch[i])
 				}
 				if cfg.Trace != nil {
-					cfg.Trace.Emit(TrialEnvelope{Type: TraceTrial, TrialRecord: res.Records[t]})
+					cfg.Trace.Emit(TrialEnvelope{Type: TraceTrial, TrialRecord: batch[i]})
 				}
 			}
 		}
@@ -665,6 +705,16 @@ func (tg *Target) run(cfg CampaignConfig, sp *obs.Span) (*CampaignResult, error)
 	restores := reg.Counter("sfi.restore.count")
 	replayInstrs := reg.Counter("sfi.restore.replay_instrs")
 	savedInstrs := reg.Counter("sfi.restore.saved_instrs")
+	// Golden convergence: converged counts trials that ended at the first
+	// ladder rung where their state rejoined the golden run, convSaved the
+	// golden-suffix instructions they did not replay, and convChecks the
+	// state comparisons made (failed ones included).
+	converged := reg.Counter("sfi.converge.count")
+	convSaved := reg.Counter("sfi.converge.saved_instrs")
+	convChecks := reg.Counter("sfi.converge.checks")
+	// sfi.trials advances per executed trial (not at the end), so a
+	// progress note can put the converged count over the trials run.
+	trials := reg.Counter("sfi.trials")
 	doTrial := func(w *interp.Machine, t int) {
 		var err error
 		if snap := ladder.Best(plans[t].InjectAt); snap != nil && w.Restore(snap) == nil {
@@ -674,6 +724,7 @@ func (tg *Target) run(cfg CampaignConfig, sp *obs.Span) (*CampaignResult, error)
 			// region buffers, counters), so the trial's record is
 			// byte-identical to the replay-everything path's.
 			w.InjectFault(plans[t])
+			w.ConvergeOn(ladder)
 			_, err = w.Resume()
 			restores.Add(1)
 			replayInstrs.Add(plans[t].InjectAt - snap.Count())
@@ -681,10 +732,24 @@ func (tg *Target) run(cfg CampaignConfig, sp *obs.Span) (*CampaignResult, error)
 		} else {
 			w.Reset()
 			w.InjectFault(plans[t])
+			w.ConvergeOn(ladder)
 			_, err = w.Run()
 		}
 		rep := w.FaultReport()
-		match := err == nil && w.Checksum(outs...) == golden
+		// A converged trial stopped mid-run in a state equal to a golden
+		// rung's, so its output is the golden output and its final count
+		// the one the full run reaches; its machine holds no final state
+		// to checksum.
+		cv := w.ConvergeReport()
+		match := cv.Converged || err == nil && w.Checksum(outs...) == golden
+		final := w.Count
+		if cv.Converged {
+			final = cv.Final
+			converged.Add(1)
+			convSaved.Add(cv.Final - w.Count)
+		}
+		convChecks.Add(int64(cv.Checks))
+		trials.Add(1)
 		o := classify(rep, err, match)
 		mu.Lock()
 		res.Executed++
@@ -693,7 +758,12 @@ func (tg *Target) run(cfg CampaignConfig, sp *obs.Span) (*CampaignResult, error)
 			res.SameInstance++
 		}
 		if ledger {
-			res.Records[t] = makeRecord(t, plans[t], rep, o, err, total, w.Count, classOf)
+			rec := makeRecord(t, plans[t], rep, o, err, total, final, classOf)
+			if pending != nil {
+				pending[t] = rec
+			} else {
+				res.Records[t] = rec
+			}
 		}
 		if done != nil {
 			done[t] = true
@@ -760,7 +830,6 @@ func (tg *Target) run(cfg CampaignConfig, sp *obs.Span) (*CampaignResult, error)
 	for o := Outcome(0); o < numOutcomes; o++ {
 		reg.Add("sfi.outcome."+o.String(), int64(res.Counts[o]))
 	}
-	reg.Add("sfi.trials", int64(res.Executed))
 	if stop != nil {
 		reg.Add("sfi.skipped", int64(res.Skipped))
 	}

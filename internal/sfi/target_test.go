@@ -122,3 +122,36 @@ func TestCampaignSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestTargetRegionMapCached: the adaptive region map is a function of
+// the target, so only its first adaptive Run records it — a second Run
+// opens no "regionmap" span and streams the same ledger bytes.
+func TestTargetRegionMapCached(t *testing.T) {
+	res, art := compiled(t, "175.vpr")
+	tg, err := NewTarget(res.Mod, res.Metas, art.Outputs, interp.EngineCompiled, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ledgers [2]bytes.Buffer
+	for run := range ledgers {
+		reg := obs.NewRegistry()
+		if _, err := tg.Run(CampaignConfig{
+			Trials: 120, Seed: 9, Dmax: 100, Checkpoints: 16, Obs: reg,
+			Stop: &Stopper{TargetCI: 0.12}, Trace: obs.NewJSONLSink(&ledgers[run]),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var maps int64
+		for _, sp := range reg.Snapshot().Spans {
+			if sp.Name == "sfi/campaign/regionmap" {
+				maps = sp.Count
+			}
+		}
+		if want := int64(1 - run); maps != want {
+			t.Errorf("run %d recorded the region map %d times, want %d", run, maps, want)
+		}
+	}
+	if !bytes.Equal(ledgers[0].Bytes(), ledgers[1].Bytes()) {
+		t.Error("second adaptive run's ledger differs from the first's")
+	}
+}

@@ -20,8 +20,10 @@
 # smokes additionally check that a 3-shard -shard/-merge split
 # reproduces the single-process ledger and stats byte for byte, that
 # -adaptive stopping elides the same trials regardless of worker count
-# and engine, and that fork-from-checkpoint trials (-checkpoints) leave
-# the trial ledger byte-identical to full golden-prefix replay. The
+# and engine, that fork-from-checkpoint trials (-checkpoints) leave
+# the trial ledger byte-identical to full golden-prefix replay, and that
+# trials ending early where they rejoin the golden run (golden
+# convergence, on by default with a ladder) do too. The
 # daemon smoke also resubmits its campaign and checks that the warm
 # (cached golden target) ledger is the batch bytes too.
 #
@@ -144,6 +146,21 @@ cmp -s "$tmp/ck0.jsonl" "$tmp/ck8.jsonl" || {
 	diff "$tmp/ck0.jsonl" "$tmp/ck8.jsonl" >&2 || true
 	exit 1
 }
+
+echo "==> smoke: converging trials leave the 175.vpr ledger byte-identical"
+# With a ladder (the default 16 checkpoints) a recovered trial ends at the
+# first rung where its state rejoins the golden run; without one every
+# trial runs to the end. The ledgers must not differ by a byte, and the
+# sfi.converge.count counter must show that the early exit really ran.
+"$tmp/encore-sfi" -app 175.vpr -trials 200 -seed 3 -checkpoints 0 -trace "$tmp/vpr0.jsonl" > /dev/null
+"$tmp/encore-sfi" -app 175.vpr -trials 200 -seed 3 -trace "$tmp/vpr16.jsonl" -metrics "$tmp/vpr16.json" > /dev/null
+cmp -s "$tmp/vpr0.jsonl" "$tmp/vpr16.jsonl" || {
+	echo "encore-sfi: 175.vpr ledger differs between -checkpoints 0 and the default ladder:" >&2
+	diff "$tmp/vpr0.jsonl" "$tmp/vpr16.jsonl" >&2 || true
+	exit 1
+}
+conv=$(grep -A1 '"sfi.converge.count"' "$tmp/vpr16.json" | sed -n 's/.*"value": *\([0-9]*\).*/\1/p')
+[ "${conv:-0}" -gt 0 ] || { echo "encore-sfi -metrics: sfi.converge.count is ${conv:-missing}, want > 0" >&2; exit 1; }
 
 echo "==> smoke: encore-sfi -stats byte-identical across workers and engines"
 # The online estimator snapshot must not depend on trial parallelism or
